@@ -6,11 +6,18 @@ distinct values; categorical tests are one-vs-rest (`value == category`).
 Ties break toward the lower feature index, then the lower threshold (for
 categoricals: the earlier declared category). No pruning; growth stops on
 depth, node size, purity, or a gain floor.
+
+Split search is CART's presort-and-sweep (Breiman et al., 1984): each
+numeric column is sorted once per node and swept with running class
+counts, and each categorical column is counted in one pass, so a node
+with n rows and d columns costs O(d·n log n).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from ..errors import DomainError, UnknownNameError
 from ..riskml.model import CATEGORICAL
@@ -78,6 +85,40 @@ def _counts(rows) -> tuple:
     return len(rows) - nc, nc
 
 
+def _numeric_partitions(rows, idx):
+    """(threshold, n_left, nc_left) at each boundary between distinct
+    values, thresholds ascending; left is every row with value <= threshold.
+
+    The threshold is the midpoint of the two values. When they are adjacent
+    floats it can round up onto the larger one, so the left count comes
+    from the threshold, not from the boundary position.
+    """
+    ordered = sorted((values[idx], label == LABEL_NON_COMPLIANCE)
+                     for values, label in rows)
+    keys = [value for value, _ in ordered]
+    nc_before = list(accumulate((is_nc for _, is_nc in ordered), initial=0))
+    for i in range(1, len(keys)):
+        a, b = keys[i - 1], keys[i]
+        if a == b:
+            continue
+        threshold = (a + b) / 2.0
+        n_left = bisect_right(keys, threshold)
+        yield threshold, n_left, nc_before[n_left]
+
+
+def _categorical_partitions(rows, idx, column):
+    """(category, n_left, nc_left) for each declared category in order."""
+    n = {category: 0 for category in column.values}
+    nc = dict(n)
+    for values, label in rows:
+        value = values[idx]
+        if value in n:
+            n[value] += 1
+            nc[value] += label == LABEL_NON_COMPLIANCE
+    for category in column.values:
+        yield category, n[category], nc[category]
+
+
 def best_split(rows, columns) -> Split | None:
     """Highest-Gini-gain test over every column, or None if nothing splits.
 
@@ -95,31 +136,16 @@ def best_split(rows, columns) -> Split | None:
     best: Split | None = None
     for idx, column in enumerate(columns):
         if column.kind == CATEGORICAL:
-            candidates = column.values
+            partitions = _categorical_partitions(rows, idx, column)
         else:
-            values = sorted({values[idx] for values, _ in rows})
-            candidates = [(a + b) / 2.0 for a, b in zip(values, values[1:])]
-        for candidate in candidates:
-            left_c = left_nc = right_c = right_nc = 0
-            for values, label in rows:
-                if column.kind == CATEGORICAL:
-                    goes_left = values[idx] == candidate
-                else:
-                    goes_left = values[idx] <= candidate
-                if goes_left:
-                    if label == LABEL_NON_COMPLIANCE:
-                        left_nc += 1
-                    else:
-                        left_c += 1
-                else:
-                    if label == LABEL_NON_COMPLIANCE:
-                        right_nc += 1
-                    else:
-                        right_c += 1
-            n_left = left_c + left_nc
-            n_right = right_c + right_nc
+            partitions = _numeric_partitions(rows, idx)
+        for candidate, n_left, left_nc in partitions:
+            n_right = total - n_left
             if n_left == 0 or n_right == 0:
                 continue
+            left_c = n_left - left_nc
+            right_nc = parent_nc - left_nc
+            right_c = n_right - right_nc
             gain = parent_gini \
                 - (n_left / total) * _gini(left_c, left_nc) \
                 - (n_right / total) * _gini(right_c, right_nc)
@@ -137,8 +163,11 @@ def _grow(rows, columns, depth, max_depth, min_leaf, min_gain) -> TreeNode:
     split = best_split(rows, columns)
     if split is None or split.gain < min_gain:
         return leaf
-    left_rows = [row for row in rows if split.goes_left(row[0][split.feature_index])]
-    right_rows = [row for row in rows if not split.goes_left(row[0][split.feature_index])]
+    left_rows, right_rows = [], []
+    for row in rows:
+        side = left_rows if split.goes_left(row[0][split.feature_index]) \
+            else right_rows
+        side.append(row)
     return TreeNode(
         split=split,
         left=_grow(left_rows, columns, depth + 1, max_depth, min_leaf, min_gain),

@@ -7,8 +7,11 @@ mismatched inputs are detectable instead of silently wrong.
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ArchiveMismatchError, ConfigError
 from ..riskml.model import CATEGORICAL, INTEGER
+from ..sim.events import LABEL_COMPLIANCE, LABEL_NON_COMPLIANCE
 from .algorithms import Archive, EvaluatedPoint, SearchConfig
 from .space import FeatureSpace
 
@@ -79,34 +82,63 @@ def archive_header(space: FeatureSpace, config: SearchConfig,
     }
 
 
+def _parse_feature(dim, cell: str):
+    """Typed value of one feature cell; ValueError unless it is a finite
+    value inside the feature's declared domain."""
+    if dim.kind == CATEGORICAL:
+        value = cell
+    elif dim.kind == INTEGER:
+        value = int(cell)
+    else:
+        value = float(cell)
+        if not math.isfinite(value):
+            raise ValueError(f"{dim.name} = {cell!r} is not finite")
+    if not dim.contains(value):
+        raise ValueError(f"{dim.name} = {cell!r} is outside its domain")
+    return value
+
+
+def _parse_row(cells, space: FeatureSpace):
+    n = len(space.dims)
+    index = int(cells[0])
+    assignment = {dim.name: _parse_feature(dim, cell)
+                  for dim, cell in zip(space.dims, cells[1:1 + n])}
+    # inf is a legal robustness: min_margin starts at math.inf.
+    robustness = float(cells[1 + n])
+    if math.isnan(robustness):
+        raise ValueError("robustness is NaN")
+    label = cells[2 + n]
+    if label not in (LABEL_COMPLIANCE, LABEL_NON_COMPLIANCE):
+        raise ValueError(f"unknown label {label!r}")
+    triggered = tuple(t for t in cells[3 + n].split(";") if t)
+    return index, assignment, robustness, label, triggered
+
+
 def parse_archive_csv(text: str, space: FeatureSpace):
     """Rows back out of the CSV as (index, assignment, robustness, label,
-    triggered tuple). The feature columns must match the space exactly."""
-    lines = [line for line in text.splitlines() if line]
+    triggered tuple). The feature columns must match the space exactly, and
+    every row must hold an integer index, in-domain feature values, a
+    non-NaN robustness and a known label; ConfigError names the first row
+    that does not."""
+    lines = [(number, line) for number, line
+             in enumerate(text.splitlines(), start=1) if line]
     if not lines:
         raise ConfigError("archive CSV is empty")
     expected = ["index", *space.names(), "robustness", "label", "triggered"]
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header != expected:
         raise ArchiveMismatchError(
             f"archive columns {header!r} do not match the feature space "
             f"{expected!r}")
     rows = []
-    for line in lines[1:]:
+    for number, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(expected):
-            raise ConfigError(f"malformed archive row: {line!r}")
-        index = int(cells[0])
-        assignment = {}
-        for dim, cell in zip(space.dims, cells[1:1 + len(space.dims)]):
-            if dim.kind == CATEGORICAL:
-                assignment[dim.name] = cell
-            elif dim.kind == INTEGER:
-                assignment[dim.name] = int(cell)
-            else:
-                assignment[dim.name] = float(cell)
-        robustness = float(cells[1 + len(space.dims)])
-        label = cells[2 + len(space.dims)]
-        triggered = tuple(t for t in cells[3 + len(space.dims)].split(";") if t)
-        rows.append((index, assignment, robustness, label, triggered))
+            raise ConfigError(f"malformed archive row at line {number}: "
+                              f"{line!r}")
+        try:
+            rows.append(_parse_row(cells, space))
+        except ValueError as exc:
+            raise ConfigError(f"malformed archive row at line {number}: "
+                              f"{exc}: {line!r}") from None
     return rows

@@ -223,6 +223,65 @@ def test_explain_needs_the_campaign_header(campaign, tmp_path):
     assert result.returncode == 2
 
 
+# The corner model plus a categorical feature, so the archive guard can be
+# shown an undeclared category.
+MODE_MODEL = read_text(str(MODEL)).replace(
+    "binds operator.hand_speed\n",
+    "binds operator.hand_speed\n"
+    "feature mode categorical {ssm, monitored_stop} binds controller.mode\n",
+).replace("features illuminance, belt_speed, operator_speed",
+          "features illuminance, belt_speed, operator_speed, mode")
+
+
+@pytest.fixture(scope="module")
+def mode_campaign(tmp_path_factory):
+    """One finished campaign over MODE_MODEL, shared by the guard tests."""
+    root = tmp_path_factory.mktemp("mode")
+    (root / "mode.riskml").write_text(MODE_MODEL)
+    write_config(root / "c.config", model=root / "mode.riskml")
+    result = run_cli("run", "--config", "c.config", cwd=root)
+    assert result.returncode == 0, result.stderr
+    return root
+
+
+def _explain_with_cell(mode_campaign, tmp_path, column, cell):
+    """Copy the campaign, set one cell of line 4 of its archive, explain."""
+    out = tmp_path / "camp"
+    shutil.copytree(mode_campaign / "camp", out)
+    lines = (out / "archive.csv").read_text().split("\n")
+    cells = lines[3].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[3] = ",".join(cells)
+    (out / "archive.csv").write_text("\n".join(lines))
+    result = run_cli("explain", out / "archive.csv",
+                     "--model", mode_campaign / "mode.riskml", cwd=tmp_path)
+    return out, result
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("illuminance", "nan"),
+    ("illuminance", "1e999"),
+    ("belt_speed", "0.9"),
+    ("mode", "turbo"),
+    ("robustness", "nan"),
+    ("label", "non-compliance"),
+    ("index", "x"),
+])
+def test_explain_rejects_a_bad_archive_cell(mode_campaign, tmp_path,
+                                            column, cell):
+    out, result = _explain_with_cell(mode_campaign, tmp_path, column, cell)
+    assert result.returncode == 2
+    assert "line 4" in result.stderr
+    assert not (out / "tree.json").exists()
+
+
+def test_explain_accepts_an_infinite_robustness(mode_campaign, tmp_path):
+    out, result = _explain_with_cell(mode_campaign, tmp_path,
+                                     "robustness", "inf")
+    assert result.returncode == 0, result.stderr
+    assert (out / "tree.json").exists()
+
+
 # -- replay -----------------------------------------------------------------------
 
 

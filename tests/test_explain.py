@@ -1,16 +1,24 @@
 """Tree induction, rule extraction, and counterexample sampling."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from riskbench.errors import DomainError, EmptyRegionError
-from riskbench.explain import (Constraint, LabeledDataset, Rule, best_split,
-                               build_dataset, constraint_text,
-                               estimate_event_likelihood, extract_rules,
-                               generate_counterexamples, induce_tree, predict,
-                               rules_report, rules_to_json, tree_to_json)
+from riskbench.explain import (DEFAULT_MIN_GAIN, DEFAULT_MIN_LEAF, Constraint,
+                               DecisionTree, LabeledDataset, Rule, Split,
+                               TreeNode, best_split, build_dataset,
+                               constraint_text, estimate_event_likelihood,
+                               extract_rules, generate_counterexamples,
+                               induce_tree, predict, rules_report,
+                               rules_to_json, tree_to_json)
+from riskbench.fileio import stable_json
 from riskbench.riskml import DomainFeature
+from riskbench.riskml.model import CATEGORICAL
+from riskbench.sim.events import LABEL_NON_COMPLIANCE
 from riskbench.search import FeatureSpace
 from riskbench.search.algorithms import Archive
 
@@ -135,6 +143,154 @@ def test_tree_json_shape():
     assert root["feature"] == "f0"
     assert root["test"] == "<="
     assert root["left"]["leaf"] and root["right"]["leaf"]
+
+
+# -- whole trees against a rescanning oracle -----------------------------------
+
+
+def _gini(n_compliance: int, n_non_compliance: int) -> float:
+    total = n_compliance + n_non_compliance
+    if total == 0:
+        return 0.0
+    p_c = n_compliance / total
+    p_nc = n_non_compliance / total
+    return 1.0 - p_c * p_c - p_nc * p_nc
+
+
+def _counts(rows) -> tuple:
+    nc = sum(1 for _, label in rows if label == LABEL_NON_COMPLIANCE)
+    return len(rows) - nc, nc
+
+
+def oracle_best_split(rows, columns) -> Split | None:
+    """Highest-Gini-gain test over every column, or None if nothing splits.
+
+    Scanning order (feature index ascending, candidates ascending) plus
+    strictly-greater comparison yields the documented tie-breaking.
+    """
+    if len(rows) < 2:
+        return None
+    parent_c, parent_nc = _counts(rows)
+    if parent_c == 0 or parent_nc == 0:
+        return None
+    parent_gini = _gini(parent_c, parent_nc)
+    total = len(rows)
+
+    best: Split | None = None
+    for idx, column in enumerate(columns):
+        if column.kind == CATEGORICAL:
+            candidates = column.values
+        else:
+            values = sorted({values[idx] for values, _ in rows})
+            candidates = [(a + b) / 2.0 for a, b in zip(values, values[1:])]
+        for candidate in candidates:
+            left_c = left_nc = right_c = right_nc = 0
+            for values, label in rows:
+                if column.kind == CATEGORICAL:
+                    goes_left = values[idx] == candidate
+                else:
+                    goes_left = values[idx] <= candidate
+                if goes_left:
+                    if label == LABEL_NON_COMPLIANCE:
+                        left_nc += 1
+                    else:
+                        left_c += 1
+                else:
+                    if label == LABEL_NON_COMPLIANCE:
+                        right_nc += 1
+                    else:
+                        right_c += 1
+            n_left = left_c + left_nc
+            n_right = right_c + right_nc
+            if n_left == 0 or n_right == 0:
+                continue
+            gain = parent_gini \
+                - (n_left / total) * _gini(left_c, left_nc) \
+                - (n_right / total) * _gini(right_c, right_nc)
+            if best is None or gain > best.gain:
+                best = Split(feature_index=idx, feature_name=column.name,
+                             kind=column.kind, threshold=candidate, gain=gain)
+    return best
+
+
+def oracle_grow(rows, columns, depth, max_depth, min_leaf, min_gain):
+    n_c, n_nc = _counts(rows)
+    leaf = TreeNode(split=None, count_compliance=n_c, count_non_compliance=n_nc)
+    if depth >= max_depth or len(rows) < min_leaf or n_c == 0 or n_nc == 0:
+        return leaf
+    split = oracle_best_split(rows, columns)
+    if split is None or split.gain < min_gain:
+        return leaf
+    idx = split.feature_index
+    left = [row for row in rows if split.goes_left(row[0][idx])]
+    right = [row for row in rows if not split.goes_left(row[0][idx])]
+    return TreeNode(
+        split=split,
+        left=oracle_grow(left, columns, depth + 1, max_depth, min_leaf,
+                         min_gain),
+        right=oracle_grow(right, columns, depth + 1, max_depth, min_leaf,
+                          min_gain),
+        count_compliance=n_c, count_non_compliance=n_nc)
+
+
+# Consecutive floats: the midpoint of two of them rounds onto one of the
+# pair, so a threshold can land on the larger value.
+ADJACENT = [1.0]
+for _ in range(3):
+    ADJACENT.append(math.nextafter(ADJACENT[-1], 2.0))
+
+
+@st.composite
+def mixed_datasets(draw):
+    """Continuous, integer and categorical columns with heavy duplicates and
+    label ties; rows are drawn from a seeded generator so they can number
+    in the hundreds."""
+    kinds = draw(st.lists(st.sampled_from(["continuous", "integer",
+                                           "categorical"]),
+                          min_size=1, max_size=3))
+    n_rows = draw(st.integers(min_value=1, max_value=300))
+    distinct = draw(st.integers(min_value=1, max_value=40))
+    noise = draw(st.floats(min_value=0.0, max_value=0.5))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    columns, pools = [], []
+    for j, kind in enumerate(kinds):
+        if kind == "categorical":
+            columns.append(DomainFeature(name=f"f{j}", kind=kind,
+                                         values=("a", "b", "c", "d")))
+            pools.append(["a", "b", "c"])
+        elif kind == "integer":
+            columns.append(DomainFeature(name=f"f{j}", kind=kind,
+                                         lo=0, hi=20))
+            pools.append(list(range(min(distinct, 21))))
+        else:
+            columns.append(DomainFeature(name=f"f{j}", kind=kind,
+                                         lo=0.0, hi=10.0))
+            pools.append(ADJACENT + [rng.uniform(0.0, 10.0)
+                                     for _ in range(distinct)])
+    rows = []
+    for _ in range(n_rows):
+        values = tuple(rng.choice(pool) for pool in pools)
+        first = values[0]
+        bad = (first in ("a", "b") if isinstance(first, str)
+               else first > 3.0)
+        if rng.random() < noise:
+            bad = not bad
+        rows.append((values, NC if bad else C))
+    return dataset(columns, rows)
+
+
+@pytest.mark.parametrize("min_leaf, min_gain", [
+    (DEFAULT_MIN_LEAF, DEFAULT_MIN_GAIN), (2, 0.0)])
+@given(ds=mixed_datasets())
+def test_tree_equals_the_rescanning_oracle(ds, min_leaf, min_gain):
+    tree = induce_tree(ds, min_leaf=min_leaf, min_gain=min_gain)
+    root = oracle_grow(list(ds.rows), ds.columns, 0, tree.max_depth,
+                       min_leaf, min_gain)
+    oracle = DecisionTree(root=root, columns=ds.columns, n_rows=len(ds.rows),
+                          max_depth=tree.max_depth, min_leaf=min_leaf,
+                          min_gain=min_gain)
+    assert stable_json(tree_to_json(tree)) == \
+        stable_json(tree_to_json(oracle))
 
 
 # -- rules ---------------------------------------------------------------------
