@@ -14,6 +14,8 @@ performed no evaluations.
 from __future__ import annotations
 
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -144,7 +146,23 @@ _SEARCH_KEYS = {
 
 _CONFIG_KEYS = set(_SEARCH_KEYS) | {
     "model", "scenario", "situation", "event", "sim_seed", "threshold", "out",
+    "workers",
 }
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _resolve_workers(value: int) -> int:
+    """Worker processes for a campaign: at least 1, and at most the
+    usable CPUs, which is also the default."""
+    if value < 1:
+        _fail(EXIT_CONFIG, f"workers must be >= 1, got {value}")
+    return min(value, _usable_cpus())
 
 
 def _campaign_from_config(raw: dict, config_dir: Path, overrides: dict):
@@ -204,8 +222,12 @@ def _campaign_from_config(raw: dict, config_dir: Path, overrides: dict):
             if "sim_seed" in raw else DEFAULT_SIM_SEED
         threshold = parse_float("threshold", raw["threshold"]) \
             if "threshold" in raw else DEFAULT_THRESHOLD
+        workers = parse_int("workers", raw["workers"]) \
+            if "workers" in raw else _usable_cpus()
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
+    if overrides.get("workers") is not None:
+        workers = overrides["workers"]
 
     out_dir = overrides.get("out") or raw.get("out") or "campaign_out"
 
@@ -221,6 +243,7 @@ def _campaign_from_config(raw: dict, config_dir: Path, overrides: dict):
         "search": config,
         "sim_seed": sim_seed,
         "threshold": threshold,
+        "workers": _resolve_workers(workers),
         "out": Path(out_dir),
     }
 
@@ -234,12 +257,15 @@ def _campaign_from_config(raw: dict, config_dir: Path, overrides: dict):
               help="Search seed (overrides config).")
 @click.option("--budget", default=None, type=int,
               help="Evaluation budget (overrides config).")
-def cmd_run(config_path, out_dir, seed, budget):
+@click.option("--workers", default=None, type=int,
+              help="Worker processes for random and genetic search "
+                   "(overrides config; default: the usable CPUs).")
+def cmd_run(config_path, out_dir, seed, budget, workers):
     """Run a falsification campaign and persist its archive."""
     raw = _read_config(config_path)
     setup = _campaign_from_config(raw, Path(config_path).resolve().parent,
                                   {"out": out_dir, "seed": seed,
-                                   "budget": budget})
+                                   "budget": budget, "workers": workers})
     config = setup["search"]
     if config.budget < 1:
         _fail(EXIT_EMPTY, "campaign performed no evaluations (budget "
@@ -248,7 +274,8 @@ def cmd_run(config_path, out_dir, seed, budget):
     try:
         archive = run_campaign(setup["model"], setup["scenario"],
                                setup["situation"], setup["event"], config,
-                               sim_seeds=(setup["sim_seed"],))
+                               sim_seeds=(setup["sim_seed"],),
+                               workers=setup["workers"])
     except _DOMAIN_ERRORS as exc:
         _fail(EXIT_INVALID, str(exc))
     except ConfigError as exc:
@@ -284,6 +311,31 @@ def cmd_run(config_path, out_dir, seed, budget):
     click.echo(f"archive -> {out / 'archive.csv'}")
 
 
+def _check_header(header, header_file: Path) -> None:
+    """Exit 2 unless the campaign header holds what explain reads."""
+    def bad(problem):
+        _fail(EXIT_CONFIG, f"{header_file}: {problem}")
+
+    if not isinstance(header, dict):
+        bad("expected a JSON object")
+    if header.get("format") != ARCHIVE_FORMAT:
+        bad(f"unrecognized archive format {header.get('format')!r}")
+    config = header.get("config")
+    if not isinstance(config, dict):
+        bad("missing the 'config' object")
+    seed = config.get("seed")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        bad(f"config.seed must be an integer, got {seed!r}")
+    if not isinstance(config.get("algorithm"), str):
+        bad(f"config.algorithm must be a string, got "
+            f"{config.get('algorithm')!r}")
+    if "threshold" in header:
+        value = header["threshold"]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            bad(f"threshold must be a finite number, got {value!r}")
+
+
 @main.command("explain")
 @click.argument("archive_path", type=click.Path())
 @click.option("--model", "model_path", required=True,
@@ -303,9 +355,9 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
         _fail(EXIT_CONFIG, str(exc))
     except ValueError as exc:
         _fail(EXIT_CONFIG, f"{header_file}: not valid JSON: {exc}")
-    if header.get("format") != ARCHIVE_FORMAT:
-        _fail(EXIT_CONFIG, f"{header_file}: unrecognized archive format "
-                           f"{header.get('format')!r}")
+    _check_header(header, header_file)
+    if threshold is not None and not math.isfinite(threshold):
+        _fail(EXIT_CONFIG, f"--threshold must be finite, got {threshold}")
 
     model, model_text = _load_model_file(model_path)
     if sha256_text(model_text) != header.get("model_digest"):
@@ -327,7 +379,7 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
         rules = extract_rules(tree, threshold)
         augmentation = [
             generate_counterexamples(rule, space, AUGMENTATION_PER_RULE,
-                                     seed=int(header["config"]["seed"]))
+                                     seed=header["config"]["seed"])
             for rule in rules
         ]
     except _DOMAIN_ERRORS as exc:
@@ -345,6 +397,7 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
                 trigger_counts[name] += 1
 
     out = Path(out_dir) if out_dir else archive_file.parent
+    best = min(r[2] for r in rows)
     report = {
         "archive": archive_file.name,
         "archive_digest": sha256_text(archive_text),
@@ -356,7 +409,7 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
         "threshold": threshold,
         "evaluations": len(rows),
         "violations": sum(1 for r in rows if r[3] == LABEL_NON_COMPLIANCE),
-        "best_robustness": min(r[2] for r in rows),
+        "best_robustness": best if math.isfinite(best) else None,
         "event_likelihood": {"fraction": fraction, "samples": samples},
         "event_trigger_counts": trigger_counts,
         "rules": rules_to_json(rules)["rules"],

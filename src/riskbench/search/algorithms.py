@@ -5,11 +5,18 @@ that archives, budgets, and reproducibility behave identically. Hill
 climbing and simulated annealing share one proposal kernel; annealing with
 a vanishing start temperature makes exactly the same acceptance decisions
 as hill climbing on the same seed.
+
+Random search and each genetic generation draw their proposals before any
+of them is evaluated, so the driver can evaluate such a batch on a
+process pool. Results are recorded in proposal order, which keeps the
+archive identical for every worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +29,14 @@ ALGORITHMS = ("random", "hill_climb", "simulated_annealing", "genetic")
 # Hill-climb restarts: abandon the incumbent after this many consecutive
 # rejected proposals and re-seed from a fresh uniform point.
 STALL_LIMIT = 20
+
+# Random-search proposals drawn and handed to the evaluator at once. A
+# larger batch waits less on its slowest evaluation; a smaller one wastes
+# less work past the first violation under stop_on_violation.
+BATCH_SIZE = 32
+
+# Only these algorithms draw proposals independently of earlier results.
+_BATCHED = ("random", "genetic")
 
 
 @dataclass(frozen=True)
@@ -82,12 +97,18 @@ class Archive:
 
 
 class _Driver:
-    """Feeds proposals to the evaluator and stops exactly at the budget."""
+    """Feeds proposals to the evaluator and stops exactly at the budget.
 
-    def __init__(self, space: FeatureSpace, evaluator, config: SearchConfig):
+    `evaluate_many` maps the evaluator over a list of assignments and
+    yields the results in order: the builtin `map` in-process, or an
+    ordered process-pool map.
+    """
+
+    def __init__(self, space: FeatureSpace, config: SearchConfig,
+                 evaluate_many):
         self.space = space
-        self.evaluator = evaluator
         self.config = config
+        self.evaluate_many = evaluate_many
         self.archive = Archive()
         self.spent = 0
 
@@ -98,27 +119,57 @@ class _Driver:
             return True
         return False
 
+    def room(self, wanted: int) -> int:
+        """How many of `wanted` proposals still fit in the budget."""
+        return min(wanted, self.config.budget - self.spent)
+
     def evaluate(self, unit_vector) -> float:
-        assignment = decode(self.space, unit_vector)
-        robustness, verdict = self.evaluator(assignment)
-        point = EvaluatedPoint(assignment=assignment,
-                               robustness=float(robustness),
-                               verdict=verdict, seed=self.config.seed,
-                               index=self.spent)
-        self.archive.record(point)
-        self.spent += 1
-        return point.robustness
+        return self.evaluate_batch([unit_vector])[0]
+
+    def evaluate_batch(self, vectors) -> list:
+        """Evaluate independent proposals and record them in proposal order.
+
+        Recording stops where the one-at-a-time loop would stop: at the
+        budget, or after the first violation under stop_on_violation. A
+        proposal past that point is never recorded, and an error it raised
+        is never seen. Returns the robustness of each recorded proposal.
+        """
+        assignments = [decode(self.space, v) for v in vectors]
+        recorded = []
+        for assignment, (robustness, verdict) in zip(
+                assignments, self.evaluate_many(assignments)):
+            point = EvaluatedPoint(assignment=assignment,
+                                   robustness=float(robustness),
+                                   verdict=verdict, seed=self.config.seed,
+                                   index=self.spent)
+            self.archive.record(point)
+            self.spent += 1
+            recorded.append(point.robustness)
+            if self.exhausted():
+                break
+        return recorded
 
 
-def run_search(space: FeatureSpace, evaluator, config: SearchConfig) -> Archive:
+def run_search(space: FeatureSpace, evaluator, config: SearchConfig,
+               workers: int = 1) -> Archive:
     """Minimize robustness over the space within config.budget evaluations.
 
     The evaluator maps an assignment to (robustness, verdict). Returns the
-    archive of every evaluation in order.
+    archive of every evaluation in order. With workers > 1, random and
+    genetic search evaluate their batches on that many processes; the
+    archive is the same for every worker count.
     """
     validate_search_config(config)
+    if workers > 1 and config.algorithm in _BATCHED:
+        with _pool_map(evaluator, workers) as evaluate_many:
+            return _search(space, config, evaluate_many)
+    return _search(space, config, functools.partial(map, evaluator))
+
+
+def _search(space: FeatureSpace, config: SearchConfig,
+            evaluate_many) -> Archive:
     rng = np.random.default_rng(config.seed)
-    driver = _Driver(space, evaluator, config)
+    driver = _Driver(space, config, evaluate_many)
     if config.algorithm == "random":
         _random_walk(driver, rng)
     elif config.algorithm in ("hill_climb", "simulated_annealing"):
@@ -129,10 +180,44 @@ def run_search(space: FeatureSpace, evaluator, config: SearchConfig) -> Archive:
     return driver.archive
 
 
+@contextmanager
+def _pool_map(evaluator, workers: int):
+    """Ordered process-pool map over assignments, one evaluator per worker.
+
+    The evaluator reaches each worker once, through the pool initializer;
+    only assignments and results cross the process boundary afterwards.
+    An error raised in a worker is re-raised here, with its type and
+    message, when its proposal's turn comes.
+    """
+    # Imported here so that start-up does not pay for it.
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               initializer=_install_evaluator,
+                               initargs=(evaluator,))
+    try:
+        yield functools.partial(pool.map, _evaluate_installed)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# Set once in each pool worker, by the pool's initializer.
+_installed_evaluator = None
+
+
+def _install_evaluator(evaluator) -> None:
+    global _installed_evaluator
+    _installed_evaluator = evaluator
+
+
+def _evaluate_installed(assignment):
+    return _installed_evaluator(assignment)
+
+
 def _random_walk(driver: _Driver, rng) -> None:
     d = len(driver.space)
     while not driver.exhausted():
-        driver.evaluate(rng.random(d))
+        driver.evaluate_batch([rng.random(d)
+                               for _ in range(driver.room(BATCH_SIZE))])
 
 
 def _local_search(driver: _Driver, rng, annealing: bool) -> None:
@@ -185,17 +270,13 @@ def _genetic(driver: _Driver, rng) -> None:
     pop_size = cfg.population
     mutation_rate = 1.0 / d
 
-    population = []
-    for _ in range(pop_size):
-        if driver.exhausted():
-            return
-        x = rng.random(d)
-        population.append((driver.evaluate(x), x))
+    xs = [rng.random(d) for _ in range(driver.room(pop_size))]
+    population = list(zip(driver.evaluate_batch(xs), xs))
 
     while not driver.exhausted():
         population.sort(key=lambda pair: pair[0])
-        next_gen = [population[0]]
-        while len(next_gen) < pop_size and not driver.exhausted():
+        children = []
+        for _ in range(driver.room(pop_size - 1)):
             mother = _tournament(population, cfg.tournament, rng)
             father = _tournament(population, cfg.tournament, rng)
             if rng.random() < cfg.crossover:
@@ -206,9 +287,9 @@ def _genetic(driver: _Driver, rng) -> None:
             mutate = rng.random(d) < mutation_rate
             if mutate.any():
                 child = child + mutate * rng.normal(0.0, cfg.sigma, d)
-            child = np.clip(child, 0.0, 1.0)
-            next_gen.append((driver.evaluate(child), child))
-        population = next_gen
+            children.append(np.clip(child, 0.0, 1.0))
+        population = [population[0],
+                      *zip(driver.evaluate_batch(children), children)]
 
 
 def _tournament(population, size, rng):

@@ -37,24 +37,28 @@ def objective_from_event(model: RiskModel, event_name: str) -> ObjectiveSpec:
                          direction=direction)
 
 
-def campaign_evaluator(model: RiskModel, scenario: Scenario,
-                       situation_name: str, event_name: str,
-                       sim_seeds: tuple = (11,)):
-    """Evaluator closure for run_search over full simulations.
+class CampaignEvaluator:
+    """Maps an assignment to (robustness of one event, verdict) by full
+    simulation.
 
-    With several simulator seeds, per-event robustness is averaged across
-    the replicates and the verdict is re-derived from the means.
+    A plain object rather than a closure, so that it pickles and can be
+    handed to worker processes. With several simulator seeds, per-event
+    robustness is averaged across the replicates and the verdict is
+    re-derived from the means.
     """
-    situation = model.situation(situation_name)
-    if event_name not in situation.exposes:
-        raise UnknownNameError(
-            f"event {event_name!r} is not exposed by situation "
-            f"{situation_name!r}")
-    if not sim_seeds:
-        raise DomainError("at least one simulator seed is required")
 
-    def evaluate(assignment: dict):
-        bound = bind_assignment(scenario, model, assignment)
+    def __init__(self, model: RiskModel, scenario: Scenario, situation,
+                 event_name: str, sim_seeds: tuple):
+        self.model = model
+        self.scenario = scenario
+        self.situation = situation
+        self.event_name = event_name
+        self.sim_seeds = sim_seeds
+
+    def __call__(self, assignment: dict):
+        model, situation = self.model, self.situation
+        sim_seeds = self.sim_seeds
+        bound = bind_assignment(self.scenario, model, assignment)
         if len(sim_seeds) == 1:
             verdict = evaluate_events(simulate(bound, sim_seeds[0]),
                                       model, situation)
@@ -76,16 +80,33 @@ def campaign_evaluator(model: RiskModel, scenario: Scenario,
             verdict = Verdict(per_event=per_event,
                               label=LABEL_NON_COMPLIANCE if any_negative
                               else LABEL_COMPLIANCE)
-        return verdict.per_event[event_name].robustness, verdict
+        return verdict.per_event[self.event_name].robustness, verdict
 
-    return evaluate
+
+def campaign_evaluator(model: RiskModel, scenario: Scenario,
+                       situation_name: str, event_name: str,
+                       sim_seeds: tuple = (11,)) -> CampaignEvaluator:
+    """Evaluator for run_search over full simulations of one situation."""
+    situation = model.situation(situation_name)
+    if event_name not in situation.exposes:
+        raise UnknownNameError(
+            f"event {event_name!r} is not exposed by situation "
+            f"{situation_name!r}")
+    if not sim_seeds:
+        raise DomainError("at least one simulator seed is required")
+    return CampaignEvaluator(model, scenario, situation, event_name,
+                             tuple(sim_seeds))
 
 
 def run_campaign(model: RiskModel, scenario: Scenario, situation_name: str,
                  event_name: str, config: SearchConfig,
-                 sim_seeds: tuple = (11,)) -> Archive:
-    """Search the situation's feature space for violations of one event."""
+                 sim_seeds: tuple = (11,), workers: int = 1) -> Archive:
+    """Search the situation's feature space for violations of one event.
+
+    `workers` processes evaluate the batched algorithms' proposals; the
+    archive does not depend on it.
+    """
     space = make_feature_space(model, situation_name)
     evaluator = campaign_evaluator(model, scenario, situation_name,
                                    event_name, sim_seeds)
-    return run_search(space, evaluator, config)
+    return run_search(space, evaluator, config, workers)

@@ -468,8 +468,7 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
                 new_y = old_y + (new_y - old_y) * shrink
             if ok:
                 ee_x, ee_y = new_x, new_y
-                elbow_x, elbow_y = two_link_elbow(base_x, base_y, ee_x, ee_y,
-                                                  l1, l2)
+                elbow_x, elbow_y = nex, ney
         v_r = max(math.hypot(ee_x - old_x, ee_y - old_y),
                   math.hypot(elbow_x - old_elbow_x,
                              elbow_y - old_elbow_y)) / dt

@@ -84,8 +84,8 @@ def two_link_elbow(base_x: float, base_y: float,
     """Elbow position for a 2-link arm reaching from base to end effector.
 
     Always picks the elbow-up branch so poses never flip between steps.
-    The target must already lie inside the reachable annulus; callers clamp
-    first with clamp_to_annulus.
+    A target outside the reachable annulus clamps the inner angle, so the
+    arm comes out fully stretched or fully folded along the line to it.
     """
     dx = ee_x - base_x
     dy = ee_y - base_y
@@ -100,20 +100,3 @@ def two_link_elbow(base_x: float, base_y: float,
     theta1 = math.atan2(dy, dx) - math.atan2(l2 * sin_inner, l1 + l2 * cos_inner)
     return (base_x + l1 * math.cos(theta1), base_y + l1 * math.sin(theta1))
 
-
-def clamp_to_annulus(base_x: float, base_y: float,
-                     x: float, y: float,
-                     r_min: float, r_max: float) -> tuple[float, float]:
-    """Project a point radially into the closed annulus around the base."""
-    dx = x - base_x
-    dy = y - base_y
-    r = math.hypot(dx, dy)
-    if r < 1e-12:
-        return (base_x + r_min, base_y)
-    if r > r_max:
-        k = r_max / r
-        return (base_x + dx * k, base_y + dy * k)
-    if r < r_min:
-        k = r_min / r
-        return (base_x + dx * k, base_y + dy * k)
-    return (x, y)

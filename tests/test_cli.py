@@ -161,6 +161,72 @@ def test_run_missing_config_file(tmp_path):
     assert result.returncode == 2
 
 
+# -- run on a process pool ----------------------------------------------------
+
+
+@pytest.mark.parametrize("settings", [
+    {"algorithm": "random", "budget": 45},
+    {"algorithm": "genetic", "budget": 40},
+    {"algorithm": "random", "budget": 120, "seed": 9,
+     "stop_on_violation": "true"},
+], ids=["random", "genetic", "random-stop-on-violation"])
+def test_run_is_byte_identical_across_worker_counts(tmp_path, settings):
+    # 45 and 40 are no multiple of the random batch or the generation, and
+    # seed 9 first violates at evaluation 67, inside the third batch.
+    write_config(tmp_path / "c.config", **settings)
+    outputs = []
+    for workers in (1, 2):
+        result = run_cli("run", "--config", "c.config", "--workers", workers,
+                         "--out", f"w{workers}", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        outputs.append([(tmp_path / f"w{workers}" / name).read_bytes()
+                        for name in ("archive.csv", "campaign.json")])
+    assert outputs[0] == outputs[1]
+    header = json.loads(outputs[1][1])
+    assert "workers" not in json.dumps(header)
+    rows = outputs[1][0].decode().strip().split("\n")
+    expected = 67 if "stop_on_violation" in settings else settings["budget"]
+    assert len(rows) == expected + 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "x"])
+def test_run_rejects_a_bad_worker_count(tmp_path, workers):
+    write_config(tmp_path / "c.config")
+    result = run_cli("run", "--config", "c.config", f"--workers={workers}",
+                     cwd=tmp_path)
+    assert result.returncode == 2
+    assert "workers" in result.stderr
+    assert not (tmp_path / "camp").exists()
+
+
+def test_run_rejects_a_bad_worker_count_in_the_config(tmp_path):
+    write_config(tmp_path / "c.config", workers=0)
+    result = run_cli("run", "--config", "c.config", cwd=tmp_path)
+    assert result.returncode == 2
+    assert "workers must be >= 1" in result.stderr
+
+
+def test_run_worker_error_matches_the_in_process_error(tmp_path):
+    # Contrast above 1 is outside the scenario's domain, so proposals 7, 9
+    # and 12 of the first batch fail inside the evaluator. The error names
+    # the value, so it shows which failing proposal was reported.
+    (tmp_path / "m.riskml").write_text(read_text(str(MODEL)).replace(
+        "binds operator.hand_speed\n",
+        "binds operator.hand_speed\n"
+        "feature contrast continuous [0.3, 1.2] ratio "
+        "binds environment.contrast\n",
+    ).replace("features illuminance, belt_speed, operator_speed",
+              "features illuminance, belt_speed, operator_speed, contrast"))
+    write_config(tmp_path / "c.config", model=tmp_path / "m.riskml",
+                 budget=40)
+    results = [run_cli("run", "--config", "c.config", "--workers", workers,
+                       cwd=tmp_path) for workers in (1, 2)]
+    assert results[0].returncode == 1
+    assert "contrast outside [0, 1]" in results[0].stderr
+    assert [(r.returncode, r.stderr) for r in results[1:]] == \
+        [(results[0].returncode, results[0].stderr)]
+
+
 # -- explain ----------------------------------------------------------------------
 
 
@@ -221,6 +287,62 @@ def test_explain_needs_the_campaign_header(campaign, tmp_path):
     shutil.copy(campaign / "camp" / "archive.csv", orphan)
     result = run_cli("explain", orphan, "--model", MODEL, cwd=tmp_path)
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: header.pop("config"),
+    lambda header: header.update(config=[7]),
+    lambda header: header["config"].pop("seed"),
+    lambda header: header["config"].update(seed="7"),
+    lambda header: header["config"].update(seed=7.5),
+    lambda header: header["config"].update(algorithm=None),
+    lambda header: header.update(threshold="high"),
+    lambda header: header.update(threshold=float("nan")),
+], ids=["no-config", "config-list", "no-seed", "seed-string", "seed-float",
+        "algorithm-null", "threshold-string", "threshold-nan"])
+def test_explain_rejects_a_bad_campaign_header(campaign, edit):
+    out = campaign / "camp"
+    header = json.loads((out / "campaign.json").read_text())
+    edit(header)
+    (out / "campaign.json").write_text(json.dumps(header))
+    result = run_cli("explain", out / "archive.csv", "--model", MODEL,
+                     cwd=campaign)
+    assert result.returncode == 2
+    assert "campaign.json" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (out / "tree.json").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_explain_rejects_a_non_finite_threshold_flag(campaign, threshold):
+    out = campaign / "camp"
+    result = run_cli("explain", out / "archive.csv", "--model", MODEL,
+                     "--threshold", threshold, cwd=campaign)
+    assert result.returncode == 2
+    assert "--threshold must be finite" in result.stderr
+    assert not (out / "report.json").exists()
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_explain_reports_no_best_robustness_when_none_is_finite(campaign):
+    out = campaign / "camp"
+    lines = (out / "archive.csv").read_text().strip().split("\n")
+    column = lines[0].split(",").index("robustness")
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        cells[column] = "inf"
+        lines[i] = ",".join(cells)
+    (out / "archive.csv").write_text("\n".join(lines) + "\n")
+    result = run_cli("explain", out / "archive.csv", "--model", MODEL,
+                     cwd=campaign)
+    assert result.returncode == 0, result.stderr
+    report = _strict_json((out / "report.json").read_text())
+    assert report["best_robustness"] is None
 
 
 # The corner model plus a categorical feature, so the archive guard can be

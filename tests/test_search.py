@@ -1,6 +1,8 @@
 """Search algorithms, unit-cube encoding, archives, and campaigns."""
 
 import math
+import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 
 from riskbench.errors import ConfigError, DomainError, UnknownNameError
 from riskbench.riskml import DomainFeature
-from riskbench.search import (ARCHIVE_FORMAT, FeatureSpace, SearchConfig,
+from riskbench.search import (ALGORITHMS, ARCHIVE_FORMAT, FeatureSpace,
+                              SearchConfig,
                               archive_header, archive_to_csv,
                               campaign_evaluator, decode, encode,
                               make_feature_space, objective_from_event,
                               parse_archive_csv, run_campaign, run_search,
                               validate_search_config)
+from riskbench.search import algorithms
 from riskbench.search.campaign import MAXIMIZE, MINIMIZE
 
 SPACE = FeatureSpace(dims=(
@@ -32,6 +36,14 @@ def sphere(assignment):
     # Smooth basin with its floor below zero near (0.3, 0.7).
     r = (assignment["u"] - 0.3) ** 2 + (assignment["v"] - 0.7) ** 2
     return r - 0.01, None
+
+
+def fragile_sphere(assignment):
+    # The sphere, but failing on the right edge with the failing value in
+    # the message, so an error report shows which proposal it came from.
+    if assignment["u"] > 0.9:
+        raise DomainError(f"u too large: {assignment['u']!r}")
+    return sphere(assignment)
 
 
 # -- encoding --------------------------------------------------------------
@@ -227,6 +239,71 @@ def test_parse_archive_rejects_foreign_columns(small_campaign):
         parse_archive_csv(text, other)
 
 
+# -- batches and worker processes ---------------------------------------------
+
+
+def _fingerprint(archive):
+    return [(p.index, p.assignment, p.robustness) for p in archive.points], \
+        archive.best, archive.violations
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("budget", [1, 33, 70])
+def test_worker_counts_give_the_same_archive(algorithm, budget):
+    config = SearchConfig(algorithm=algorithm, budget=budget, seed=2)
+    one = run_search(UNIT, sphere, config, workers=1)
+    two = run_search(UNIT, sphere, config, workers=2)
+    assert len(one.points) == budget
+    assert _fingerprint(one) == _fingerprint(two)
+
+
+@pytest.mark.parametrize("algorithm", ["random", "genetic"])
+def test_batches_stop_at_the_first_violation(algorithm):
+    config = SearchConfig(algorithm=algorithm, budget=500, seed=5,
+                          stop_on_violation=True)
+    one = run_search(UNIT, sphere, config, workers=1)
+    two = run_search(UNIT, sphere, config, workers=2)
+    assert one.violations == [len(one.points) - 1]
+    assert _fingerprint(one) == _fingerprint(two)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_first_failing_proposal_raises(workers):
+    config = SearchConfig(algorithm="random", budget=200, seed=0)
+    first = next(p.assignment["u"] for p in
+                 run_search(UNIT, sphere, config).points
+                 if p.assignment["u"] > 0.9)
+    with pytest.raises(DomainError) as caught:
+        run_search(UNIT, fragile_sphere, config, workers=workers)
+    assert str(caught.value) == f"u too large: {first!r}"
+
+
+def test_an_error_past_the_first_violation_is_never_seen():
+    # Seed 83 first violates at proposal 14; proposal 30 of the same batch
+    # fails.
+    config = SearchConfig(algorithm="random", budget=200, seed=83,
+                          stop_on_violation=True)
+    expected = _fingerprint(run_search(UNIT, sphere, config))
+    assert len(expected[0]) == 14
+    with pytest.raises(DomainError):
+        run_search(UNIT, fragile_sphere,
+                   replace(config, stop_on_violation=False))
+    for workers in (1, 2):
+        archive = run_search(UNIT, fragile_sphere, config, workers=workers)
+        assert _fingerprint(archive) == expected
+
+
+@pytest.mark.parametrize("algorithm,workers", [
+    ("hill_climb", 2), ("simulated_annealing", 2), ("random", 1),
+    ("genetic", 1)])
+def test_sequential_searches_start_no_pool(monkeypatch, algorithm, workers):
+    def no_pool(*args):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(algorithms, "_pool_map", no_pool)
+    config = SearchConfig(algorithm=algorithm, budget=30, seed=1)
+    assert len(run_search(UNIT, sphere, config, workers=workers).points) == 30
+
+
 # -- campaign plumbing --------------------------------------------------------
 
 
@@ -267,3 +344,17 @@ def test_campaign_evaluator_needs_a_seed(corner_model, corner_scenario):
     with pytest.raises(DomainError):
         campaign_evaluator(corner_model, corner_scenario, "low_light_rush",
                            "insufficient_distance", sim_seeds=())
+
+
+def test_campaign_evaluator_survives_a_pickle_round_trip(corner_model,
+                                                        corner_scenario):
+    for seeds in ((11,), (3, 9)):
+        evaluator = campaign_evaluator(corner_model, corner_scenario,
+                                       "low_light_rush",
+                                       "insufficient_distance",
+                                       sim_seeds=seeds)
+        copy = pickle.loads(pickle.dumps(evaluator))
+        for illuminance in (60.0, 400.0, 950.0):
+            assignment = {"illuminance": illuminance, "belt_speed": 0.45,
+                          "operator_speed": 1.4}
+            assert copy(assignment) == evaluator(assignment)
