@@ -146,23 +146,14 @@ _SEARCH_KEYS = {
 
 _CONFIG_KEYS = set(_SEARCH_KEYS) | {
     "model", "scenario", "situation", "event", "sim_seed", "threshold", "out",
-    "workers",
 }
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on: the campaign's worker processes."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _resolve_workers(value: int) -> int:
-    """Worker processes for a campaign: at least 1, and at most the
-    usable CPUs, which is also the default."""
-    if value < 1:
-        _fail(EXIT_CONFIG, f"workers must be >= 1, got {value}")
-    return min(value, _usable_cpus())
 
 
 def _campaign_from_config(raw: dict, config_dir: Path, overrides: dict):
@@ -222,12 +213,11 @@ def _campaign_from_config(raw: dict, config_dir: Path, overrides: dict):
             if "sim_seed" in raw else DEFAULT_SIM_SEED
         threshold = parse_float("threshold", raw["threshold"]) \
             if "threshold" in raw else DEFAULT_THRESHOLD
-        workers = parse_int("workers", raw["workers"]) \
-            if "workers" in raw else _usable_cpus()
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
-    if overrides.get("workers") is not None:
-        workers = overrides["workers"]
+    if not math.isfinite(threshold):
+        # campaign.json would carry it as NaN or Infinity, which is not JSON.
+        _fail(EXIT_CONFIG, f"threshold must be finite, got {threshold}")
 
     out_dir = overrides.get("out") or raw.get("out") or "campaign_out"
 
@@ -243,7 +233,6 @@ def _campaign_from_config(raw: dict, config_dir: Path, overrides: dict):
         "search": config,
         "sim_seed": sim_seed,
         "threshold": threshold,
-        "workers": _resolve_workers(workers),
         "out": Path(out_dir),
     }
 
@@ -257,15 +246,12 @@ def _campaign_from_config(raw: dict, config_dir: Path, overrides: dict):
               help="Search seed (overrides config).")
 @click.option("--budget", default=None, type=int,
               help="Evaluation budget (overrides config).")
-@click.option("--workers", default=None, type=int,
-              help="Worker processes for random and genetic search "
-                   "(overrides config; default: the usable CPUs).")
-def cmd_run(config_path, out_dir, seed, budget, workers):
+def cmd_run(config_path, out_dir, seed, budget):
     """Run a falsification campaign and persist its archive."""
     raw = _read_config(config_path)
     setup = _campaign_from_config(raw, Path(config_path).resolve().parent,
                                   {"out": out_dir, "seed": seed,
-                                   "budget": budget, "workers": workers})
+                                   "budget": budget})
     config = setup["search"]
     if config.budget < 1:
         _fail(EXIT_EMPTY, "campaign performed no evaluations (budget "
@@ -275,7 +261,7 @@ def cmd_run(config_path, out_dir, seed, budget, workers):
         archive = run_campaign(setup["model"], setup["scenario"],
                                setup["situation"], setup["event"], config,
                                sim_seeds=(setup["sim_seed"],),
-                               workers=setup["workers"])
+                               workers=_usable_cpus())
     except _DOMAIN_ERRORS as exc:
         _fail(EXIT_INVALID, str(exc))
     except ConfigError as exc:
@@ -324,15 +310,21 @@ def _check_header(header, header_file: Path) -> None:
     if not isinstance(config, dict):
         bad("missing the 'config' object")
     seed = config.get("seed")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        bad(f"config.seed must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        bad(f"config.seed must be a non-negative integer, got {seed!r}")
     if not isinstance(config.get("algorithm"), str):
         bad(f"config.algorithm must be a string, got "
             f"{config.get('algorithm')!r}")
     if "threshold" in header:
         value = header["threshold"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value):
+        try:
+            # A JSON integer too large for a float overflows in float().
+            finite = not isinstance(value, bool) \
+                and isinstance(value, (int, float)) \
+                and math.isfinite(float(value))
+        except OverflowError:
+            finite = False
+        if not finite:
             bad(f"threshold must be a finite number, got {value!r}")
 
 

@@ -59,6 +59,8 @@ def validate_search_config(config: SearchConfig) -> None:
                           f"expected one of {', '.join(ALGORITHMS)}")
     if config.budget < 1:
         raise ConfigError(f"budget must be >= 1, got {config.budget}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.sigma <= 0.0:
         raise ConfigError(f"sigma must be positive, got {config.sigma}")
     if config.t0 <= 0.0:
@@ -156,13 +158,18 @@ def run_search(space: FeatureSpace, evaluator, config: SearchConfig,
 
     The evaluator maps an assignment to (robustness, verdict). Returns the
     archive of every evaluation in order. With workers > 1, random and
-    genetic search evaluate their batches on that many processes; the
-    archive is the same for every worker count.
+    genetic search evaluate their batches on up to that many processes,
+    never more than the largest batch or the budget; the archive is the
+    same for every worker count.
     """
     validate_search_config(config)
-    if workers > 1 and config.algorithm in _BATCHED:
-        with _pool_map(evaluator, workers) as evaluate_many:
-            return _search(space, config, evaluate_many)
+    if config.algorithm in _BATCHED:
+        largest_batch = (BATCH_SIZE if config.algorithm == "random"
+                         else config.population)
+        workers = min(workers, largest_batch, config.budget)
+        if workers > 1:
+            with _pool_map(evaluator, workers) as evaluate_many:
+                return _search(space, config, evaluate_many)
     return _search(space, config, functools.partial(map, evaluator))
 
 

@@ -29,11 +29,19 @@ _IMPORT_FAILURE = re.compile(r"^(ModuleNotFoundError|ImportError): ",
                              re.MULTILINE)
 
 
+def _at_most_two_cpus():
+    # `run` starts one pool worker per CPU it may use; whatever the host,
+    # the tests start at most two.
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+
+
 def run_cli(*args, cwd=None):
     pythonpath = filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    limit = _at_most_two_cpus if hasattr(os, "sched_setaffinity") else None
     result = subprocess.run([*_CLI, *map(str, args)], cwd=cwd, env=env,
-                            capture_output=True, text=True, timeout=300)
+                            preexec_fn=limit, capture_output=True, text=True,
+                            timeout=300)
     # An import failure also exits 1; never let it stand in for a
     # documented exit code.
     if result.returncode != 0 and _IMPORT_FAILURE.search(result.stderr):

@@ -7,6 +7,8 @@ import pytest
 
 from riskbench.datafiles import data_path
 from riskbench.fileio import read_text
+from riskbench.search import (SearchConfig, archive_to_csv,
+                              make_feature_space, run_campaign)
 
 from conftest import run_cli
 
@@ -161,70 +163,39 @@ def test_run_missing_config_file(tmp_path):
     assert result.returncode == 2
 
 
-# -- run on a process pool ----------------------------------------------------
-
-
-@pytest.mark.parametrize("settings", [
-    {"algorithm": "random", "budget": 45},
-    {"algorithm": "genetic", "budget": 40},
-    {"algorithm": "random", "budget": 120, "seed": 9,
-     "stop_on_violation": "true"},
-], ids=["random", "genetic", "random-stop-on-violation"])
-def test_run_is_byte_identical_across_worker_counts(tmp_path, settings):
-    # 45 and 40 are no multiple of the random batch or the generation, and
-    # seed 9 first violates at evaluation 67, inside the third batch.
+@pytest.mark.parametrize("settings,flags,message", [
+    ({}, ["--seed", "-1"], "seed must be >= 0"),
+    ({"threshold": "nan"}, [], "threshold must be finite"),
+    ({"threshold": "inf"}, [], "threshold must be finite"),
+], ids=["seed-negative", "threshold-nan", "threshold-inf"])
+def test_run_rejects_a_bad_config_value(tmp_path, settings, flags, message):
     write_config(tmp_path / "c.config", **settings)
-    outputs = []
-    for workers in (1, 2):
-        result = run_cli("run", "--config", "c.config", "--workers", workers,
-                         "--out", f"w{workers}", cwd=tmp_path)
-        assert result.returncode == 0, result.stderr
-        outputs.append([(tmp_path / f"w{workers}" / name).read_bytes()
-                        for name in ("archive.csv", "campaign.json")])
-    assert outputs[0] == outputs[1]
-    header = json.loads(outputs[1][1])
-    assert "workers" not in json.dumps(header)
-    rows = outputs[1][0].decode().strip().split("\n")
-    expected = 67 if "stop_on_violation" in settings else settings["budget"]
-    assert len(rows) == expected + 1
-
-
-@pytest.mark.parametrize("workers", ["0", "-1", "x"])
-def test_run_rejects_a_bad_worker_count(tmp_path, workers):
-    write_config(tmp_path / "c.config")
-    result = run_cli("run", "--config", "c.config", f"--workers={workers}",
-                     cwd=tmp_path)
+    result = run_cli("run", "--config", "c.config", *flags, cwd=tmp_path)
     assert result.returncode == 2
-    assert "workers" in result.stderr
+    assert message in result.stderr
     assert not (tmp_path / "camp").exists()
 
 
-def test_run_rejects_a_bad_worker_count_in_the_config(tmp_path):
-    write_config(tmp_path / "c.config", workers=0)
+# -- run on a process pool ----------------------------------------------------
+
+
+def test_run_matches_the_single_process_campaign(tmp_path, corner_model,
+                                                 corner_scenario):
+    # `run` evaluates on one worker per usable CPU (at most two in these
+    # tests, see run_cli);
+    # seed 9 first violates at evaluation 67, inside the third batch.
+    write_config(tmp_path / "c.config", budget=120, seed=9,
+                 stop_on_violation="true")
     result = run_cli("run", "--config", "c.config", cwd=tmp_path)
-    assert result.returncode == 2
-    assert "workers must be >= 1" in result.stderr
-
-
-def test_run_worker_error_matches_the_in_process_error(tmp_path):
-    # Contrast above 1 is outside the scenario's domain, so proposals 7, 9
-    # and 12 of the first batch fail inside the evaluator. The error names
-    # the value, so it shows which failing proposal was reported.
-    (tmp_path / "m.riskml").write_text(read_text(str(MODEL)).replace(
-        "binds operator.hand_speed\n",
-        "binds operator.hand_speed\n"
-        "feature contrast continuous [0.3, 1.2] ratio "
-        "binds environment.contrast\n",
-    ).replace("features illuminance, belt_speed, operator_speed",
-              "features illuminance, belt_speed, operator_speed, contrast"))
-    write_config(tmp_path / "c.config", model=tmp_path / "m.riskml",
-                 budget=40)
-    results = [run_cli("run", "--config", "c.config", "--workers", workers,
-                       cwd=tmp_path) for workers in (1, 2)]
-    assert results[0].returncode == 1
-    assert "contrast outside [0, 1]" in results[0].stderr
-    assert [(r.returncode, r.stderr) for r in results[1:]] == \
-        [(results[0].returncode, results[0].stderr)]
+    assert result.returncode == 0, result.stderr
+    config = SearchConfig(algorithm="random", budget=120, seed=9,
+                          stop_on_violation=True)
+    archive = run_campaign(corner_model, corner_scenario, "low_light_rush",
+                           "insufficient_distance", config, workers=1)
+    space = make_feature_space(corner_model, "low_light_rush")
+    expected = archive_to_csv(archive, space, "insufficient_distance")
+    assert (tmp_path / "camp" / "archive.csv").read_text() == expected
+    assert len(archive.points) == 67
 
 
 # -- explain ----------------------------------------------------------------------
@@ -295,11 +266,14 @@ def test_explain_needs_the_campaign_header(campaign, tmp_path):
     lambda header: header["config"].pop("seed"),
     lambda header: header["config"].update(seed="7"),
     lambda header: header["config"].update(seed=7.5),
+    lambda header: header["config"].update(seed=-1),
     lambda header: header["config"].update(algorithm=None),
     lambda header: header.update(threshold="high"),
     lambda header: header.update(threshold=float("nan")),
+    lambda header: header.update(threshold=10 ** 400),
 ], ids=["no-config", "config-list", "no-seed", "seed-string", "seed-float",
-        "algorithm-null", "threshold-string", "threshold-nan"])
+        "seed-negative", "algorithm-null", "threshold-string",
+        "threshold-nan", "threshold-huge"])
 def test_explain_rejects_a_bad_campaign_header(campaign, edit):
     out = campaign / "camp"
     header = json.loads((out / "campaign.json").read_text())

@@ -1,15 +1,18 @@
 """Search algorithms, unit-cube encoding, archives, and campaigns."""
 
+import functools
 import math
 import pickle
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from riskbench.datafiles import data_text
 from riskbench.errors import ConfigError, DomainError, UnknownNameError
-from riskbench.riskml import DomainFeature
+from riskbench.riskml import DomainFeature, load_model
 from riskbench.search import (ALGORITHMS, ARCHIVE_FORMAT, FeatureSpace,
                               SearchConfig,
                               archive_header, archive_to_csv,
@@ -93,6 +96,7 @@ def test_make_feature_space_follows_declaration_order(default_model):
 @pytest.mark.parametrize("field,value,fragment", [
     ("algorithm", "gradient", "unknown algorithm"),
     ("budget", 0, "budget"),
+    ("seed", -1, "seed"),
     ("sigma", 0.0, "sigma"),
     ("t0", -1.0, "t0"),
     ("alpha", 1.0, "alpha"),
@@ -304,6 +308,27 @@ def test_sequential_searches_start_no_pool(monkeypatch, algorithm, workers):
     assert len(run_search(UNIT, sphere, config, workers=workers).points) == 30
 
 
+@pytest.mark.parametrize("config,pool_size", [
+    (SearchConfig(algorithm="random", budget=100), algorithms.BATCH_SIZE),
+    (SearchConfig(algorithm="random", budget=5), 5),
+    (SearchConfig(algorithm="genetic", budget=100, population=6), 6),
+    (SearchConfig(algorithm="random", budget=1), None),
+], ids=["random-batch", "random-budget", "genetic-population", "one-eval"])
+def test_the_pool_is_no_larger_than_a_batch(monkeypatch, config, pool_size):
+    # A stand-in for the pool records the size asked for and evaluates
+    # in-process, so no worker is started whatever size is requested.
+    requested = []
+
+    @contextmanager
+    def recording_pool(evaluator, workers):
+        requested.append(workers)
+        yield functools.partial(map, evaluator)
+    monkeypatch.setattr(algorithms, "_pool_map", recording_pool)
+    archive = run_search(UNIT, sphere, config, workers=1000)
+    assert len(archive.points) == config.budget
+    assert requested == ([] if pool_size is None else [pool_size])
+
+
 # -- campaign plumbing --------------------------------------------------------
 
 
@@ -344,6 +369,51 @@ def test_campaign_evaluator_needs_a_seed(corner_model, corner_scenario):
     with pytest.raises(DomainError):
         campaign_evaluator(corner_model, corner_scenario, "low_light_rush",
                            "insufficient_distance", sim_seeds=())
+
+
+def _corner_campaign_csv(model, scenario, config, workers):
+    archive = run_campaign(model, scenario, "low_light_rush",
+                           "insufficient_distance", config, workers=workers)
+    space = make_feature_space(model, "low_light_rush")
+    return archive_to_csv(archive, space, "insufficient_distance")
+
+
+@pytest.mark.parametrize("config,rows", [
+    (SearchConfig(algorithm="random", budget=45, seed=4), 45),
+    (SearchConfig(algorithm="genetic", budget=40, seed=4), 40),
+    (SearchConfig(algorithm="random", budget=120, seed=9,
+                  stop_on_violation=True), 67),
+], ids=["random", "genetic", "random-stop-on-violation"])
+def test_campaign_archive_is_identical_across_worker_counts(
+        corner_model, corner_scenario, config, rows):
+    # 45 and 40 are no multiple of the random batch or the generation, and
+    # seed 9 first violates at evaluation 67, inside the third batch.
+    texts = [_corner_campaign_csv(corner_model, corner_scenario, config,
+                                  workers) for workers in (1, 2)]
+    assert texts[0] == texts[1]
+    assert len(texts[0].strip().split("\n")) == rows + 1
+
+
+def test_campaign_worker_error_matches_the_in_process_error(
+        corner_model, corner_scenario):
+    # Contrast above 1 is outside the scenario's domain, so proposals 7, 9
+    # and 12 of the first batch fail inside the evaluator. The error names
+    # the value, so it shows which failing proposal was reported.
+    model = load_model(data_text("corner.riskml").replace(
+        "binds operator.hand_speed\n",
+        "binds operator.hand_speed\n"
+        "feature contrast continuous [0.3, 1.2] ratio "
+        "binds environment.contrast\n",
+    ).replace("features illuminance, belt_speed, operator_speed",
+              "features illuminance, belt_speed, operator_speed, contrast"))
+    config = SearchConfig(algorithm="random", budget=40, seed=4)
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(DomainError) as caught:
+            _corner_campaign_csv(model, corner_scenario, config, workers)
+        errors.append((type(caught.value), str(caught.value)))
+    assert "contrast outside [0, 1]" in errors[0][1]
+    assert errors[1] == errors[0]
 
 
 def test_campaign_evaluator_survives_a_pickle_round_trip(corner_model,
