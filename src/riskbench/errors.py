@@ -16,12 +16,16 @@ class RiskmlSyntaxError(RiskbenchError):
 
     def __init__(self, message: str, line: int, column: int,
                  expected: tuple[str, ...] = ()):
+        self.reason = message
         self.line = line
         self.column = column
         self.expected = expected
         if expected:
             message = f"{message} (expected {', '.join(expected)})"
         super().__init__(f"line {line}, column {column}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.reason, self.line, self.column, self.expected)
 
 
 class ModelInvalidError(RiskbenchError):
@@ -31,6 +35,9 @@ class ModelInvalidError(RiskbenchError):
         self.diagnostics = list(diagnostics)
         detail = "; ".join(str(d) for d in self.diagnostics)
         super().__init__(detail or "invalid model")
+
+    def __reduce__(self):
+        return type(self), (self.diagnostics,)
 
 
 class UnknownNameError(RiskbenchError):

@@ -9,6 +9,7 @@ guarantees are stated against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from ..errors import DomainError, UnknownNameError
@@ -213,6 +214,8 @@ def validate(model: RiskModel) -> list[Diagnostic]:
         else:
             if f.lo is None or f.hi is None:
                 diag("feature", f.name, "missing interval bounds")
+            elif not (math.isfinite(f.lo) and math.isfinite(f.hi)):
+                diag("feature", f.name, f"non-finite bound: [{f.lo}, {f.hi}]")
             elif not (f.lo < f.hi):
                 diag("feature", f.name, f"empty domain: [{f.lo}, {f.hi}]")
         if not f.binding:
@@ -234,6 +237,9 @@ def validate(model: RiskModel) -> list[Diagnostic]:
             diag("event", e.name, f"unknown metric '{e.condition.metric}'")
         if e.condition.op not in ("<", ">"):
             diag("event", e.name, f"unknown operator '{e.condition.op}'")
+        if not math.isfinite(e.condition.threshold):
+            diag("event", e.name,
+                 f"non-finite threshold {e.condition.threshold}")
         if e.likelihood is not None:
             if not (0.0 <= e.likelihood.fraction <= 1.0):
                 diag("event", e.name, f"likelihood {e.likelihood.fraction} outside [0, 1]")

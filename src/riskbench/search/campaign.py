@@ -7,8 +7,7 @@ from dataclasses import dataclass
 from ..errors import DomainError, UnknownNameError
 from ..riskml.model import RiskModel
 from ..sim.engine import simulate
-from ..sim.events import (LABEL_COMPLIANCE, LABEL_NON_COMPLIANCE, EventOutcome,
-                          Verdict, evaluate_events)
+from ..sim.events import evaluate_events, verdict_from_robustness
 from ..sim.scenario import Scenario, bind_assignment
 from .algorithms import Archive, SearchConfig, run_search
 from .space import FeatureSpace, make_feature_space
@@ -68,18 +67,9 @@ class CampaignEvaluator:
                 one = evaluate_events(simulate(bound, seed), model, situation)
                 for name, outcome in one.per_event.items():
                     totals[name] += outcome.robustness
-            per_event = {}
-            any_negative = False
-            for name in situation.exposes:
-                mean = totals[name] / len(sim_seeds)
-                triggered = mean < 0.0
-                per_event[name] = EventOutcome(triggered=triggered,
-                                               robustness=mean)
-                if triggered and model.event(name).polarity == "negative":
-                    any_negative = True
-            verdict = Verdict(per_event=per_event,
-                              label=LABEL_NON_COMPLIANCE if any_negative
-                              else LABEL_COMPLIANCE)
+            verdict = verdict_from_robustness(model, situation, {
+                name: total / len(sim_seeds)
+                for name, total in totals.items()})
         return verdict.per_event[self.event_name].robustness, verdict
 
 

@@ -9,9 +9,10 @@ magnitude says how far the metric sits from the threshold:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ..errors import UnknownNameError
+from ..errors import DomainError, UnknownNameError
 from ..riskml.model import NEGATIVE, Condition, RiskModel, Situation
 from .engine import Trace, TraceMetrics
 
@@ -49,11 +50,33 @@ def condition_robustness(condition: Condition, metrics: dict) -> float:
     return condition.threshold - value
 
 
+def verdict_from_robustness(model: RiskModel, situation: Situation,
+                            robustness: dict) -> Verdict:
+    """The one verdict rule: judge each exposed event by its robustness.
+
+    An event triggers exactly when its robustness is negative, and the
+    episode is non-compliant exactly when some exposed negative event
+    triggered. A NaN robustness judges nothing and raises DomainError.
+    """
+    per_event = {}
+    any_negative = False
+    for name in situation.exposes:
+        rob = robustness[name]
+        if math.isnan(rob):
+            raise DomainError(f"event {name!r} has a NaN robustness")
+        triggered = rob < 0.0
+        per_event[name] = EventOutcome(triggered=triggered, robustness=rob)
+        if triggered and model.event(name).polarity == NEGATIVE:
+            any_negative = True
+    label = LABEL_NON_COMPLIANCE if any_negative else LABEL_COMPLIANCE
+    return Verdict(per_event=per_event, label=label)
+
+
 def evaluate_events(trace, model: RiskModel, situation: Situation) -> Verdict:
     """Judge every event the situation exposes against one trace.
 
-    Accepts a Trace or bare TraceMetrics. The episode label is
-    non-compliant exactly when some exposed negative event triggered.
+    Accepts a Trace or bare TraceMetrics; verdict_from_robustness labels
+    the episode.
     """
     if isinstance(trace, Trace):
         metrics = trace.metrics.as_dict()
@@ -61,14 +84,6 @@ def evaluate_events(trace, model: RiskModel, situation: Situation) -> Verdict:
         metrics = trace.as_dict()
     else:
         metrics = dict(trace)
-    per_event = {}
-    any_negative = False
-    for name in situation.exposes:
-        event = model.event(name)
-        rob = condition_robustness(event.condition, metrics)
-        triggered = rob < 0.0
-        per_event[name] = EventOutcome(triggered=triggered, robustness=rob)
-        if triggered and event.polarity == NEGATIVE:
-            any_negative = True
-    label = LABEL_NON_COMPLIANCE if any_negative else LABEL_COMPLIANCE
-    return Verdict(per_event=per_event, label=label)
+    return verdict_from_robustness(model, situation, {
+        name: condition_robustness(model.event(name).condition, metrics)
+        for name in situation.exposes})

@@ -8,9 +8,11 @@ bindings address fields through the same dotted paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
-from ..errors import BindingError, ConfigError, DomainError, UnknownNameError
+from ..errors import BindingError, ConfigError, DomainError
 from ..kvdoc import parse_bool, parse_float, parse_int, parse_point, read_kv, write_kv
 
 MODE_SSM = "ssm"
@@ -91,127 +93,154 @@ class Scenario:
     perception: PerceptionConfig = field(default_factory=PerceptionConfig)
 
 
+# -- the field table ---------------------------------------------------------
+
+# Every number and point coordinate must be finite; these fields must be
+# more. A non-braking arm (brake_decel 0) is not assurable.
+_POSITIVE = ("duration", "dt", "belt.spawn_interval", "arm.link1", "arm.link2",
+             "arm.max_speed", "arm.brake_decel", "arm.pick_radius",
+             "operator.hand_speed", "perception.e_min", "perception.e_sat")
+_NON_NEGATIVE = ("belt.speed", "belt.object_count", "operator.hand_intrusion",
+                 "operator.approach_time", "environment.illuminance",
+                 "controller.reaction_time", "controller.assumed_human_speed",
+                 "controller.min_clearance", "perception.contrast_exponent",
+                 "perception.miss_horizon")
+_DOMAINS = {
+    **dict.fromkeys(_POSITIVE, {"lo": 0.0, "lo_open": True}),
+    **dict.fromkeys(_NON_NEGATIVE, {"lo": 0.0}),
+    "environment.contrast": {"lo": 0.0, "hi": 1.0},
+    "perception.p_base": {"lo": 0.0, "hi": 1.0},
+    "camera.fov_half_angle": {"lo": 0.0, "hi": math.pi, "lo_open": True},
+    "controller.mode": {"choices": (MODE_SSM, MODE_MONITORED_STOP)},
+}
+
+
+@dataclass(frozen=True)
+class ScenarioField:
+    """A scenario field's dotted path, the type of its default, its domain.
+
+    Numbers and point coordinates must be finite and in [lo, hi], or in
+    (lo, hi] when `lo_open`; a string must be one of `choices`.
+    """
+
+    path: str
+    type: type
+    get: Callable = field(repr=False, compare=False)  # scenario -> value
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False
+    choices: tuple[str, ...] = ()
+
+    def check(self, value) -> None:
+        """Raise DomainError unless `value` lies in this field's domain."""
+        if self.choices:
+            if value not in self.choices:
+                raise DomainError(f"unknown {self.path} {value!r}")
+            return
+        for v in value if self.type is tuple else (value,):
+            if not math.isfinite(v):
+                raise DomainError(f"{self.path} must be finite, got {value!r}")
+            if not ((self.lo < v if self.lo_open else self.lo <= v)
+                    and v <= self.hi):
+                left = "(" if self.lo_open else "["
+                right = "]" if self.hi < math.inf else ")"
+                raise DomainError(f"{self.path} outside {left}{self.lo:g}, "
+                                  f"{self.hi:g}{right}: {value!r}")
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _point(value):
+    try:
+        x, y = value
+        return (float(x), float(y))
+    except (TypeError, ValueError):
+        return None
+
+
+class _Type(NamedTuple):
+    noun: str
+    text: Callable    # value -> file text
+    parse: Callable   # (key, file text) -> value, or ConfigError
+    coerce: Callable  # binding value -> value, or None when it does not fit
+
+
+_TYPES = {
+    float: _Type("a number", repr, parse_float,
+                 lambda v: float(v) if _number(v) else None),
+    int: _Type("an integer", str, parse_int,
+               lambda v: int(v) if _number(v) and (
+                   isinstance(v, int) or v.is_integer()) else None),
+    bool: _Type("a boolean", lambda v: "true" if v else "false", parse_bool,
+                lambda v: v if isinstance(v, bool) else None),
+    str: _Type("a string", str, lambda key, raw: raw,
+               lambda v: v if isinstance(v, str) else None),
+    tuple: _Type("a point", lambda p: f"{p[0]!r}, {p[1]!r}", parse_point,
+                 _point),
+}
+
+
+def _leaves(obj, prefix=""):
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+SCENARIO_FIELDS = {
+    path: ScenarioField(path, type(default), attrgetter(path),
+                        **_DOMAINS.get(path, {}))
+    for path, default in _leaves(Scenario())}
+
+
 def validate_scenario(scenario: Scenario) -> None:
     """Raise DomainError on the first violated scenario invariant."""
+    for f in SCENARIO_FIELDS.values():
+        f.check(f.get(scenario))
     s = scenario
-    if not (s.dt > 0.0):
-        raise DomainError(f"dt must be positive, got {s.dt}")
     if not (s.duration >= s.dt):
         raise DomainError(f"duration {s.duration} shorter than one step {s.dt}")
-    if s.belt.speed < 0.0:
-        raise DomainError(f"belt speed must be non-negative, got {s.belt.speed}")
     if s.belt.start == s.belt.end:
         raise DomainError("belt start equals belt end")
-    if s.belt.spawn_interval <= 0.0:
-        raise DomainError(f"spawn interval must be positive, got {s.belt.spawn_interval}")
-    if s.belt.object_count < 0:
-        raise DomainError(f"object count must be non-negative, got {s.belt.object_count}")
-    if s.arm.link1 <= 0.0 or s.arm.link2 <= 0.0:
-        raise DomainError("arm link lengths must be positive")
-    if s.arm.max_speed <= 0.0:
-        raise DomainError(f"arm max speed must be positive, got {s.arm.max_speed}")
-    if s.arm.brake_decel <= 0.0:
-        raise DomainError(f"a non-braking arm is not assurable: brake_decel {s.arm.brake_decel}")
-    if s.arm.pick_radius <= 0.0:
-        raise DomainError("pick radius must be positive")
-    if s.operator.hand_intrusion < 0.0:
-        raise DomainError(f"hand intrusion must be non-negative, got {s.operator.hand_intrusion}")
-    if s.operator.hand_speed <= 0.0:
-        raise DomainError(f"hand speed must be positive, got {s.operator.hand_speed}")
-    if s.operator.approach_time < 0.0:
-        raise DomainError("approach time must be non-negative")
-    if not (0.0 < s.camera.fov_half_angle <= math.pi):
-        raise DomainError(f"fov half angle outside (0, pi]: {s.camera.fov_half_angle}")
-    if s.environment.illuminance < 0.0:
-        raise DomainError(f"illuminance must be non-negative, got {s.environment.illuminance}")
-    if not (0.0 <= s.environment.contrast <= 1.0):
-        raise DomainError(f"contrast outside [0, 1]: {s.environment.contrast}")
-    if s.controller.mode not in (MODE_SSM, MODE_MONITORED_STOP):
-        raise DomainError(f"unknown controller mode {s.controller.mode!r}")
-    if s.controller.reaction_time < 0.0 or s.controller.min_clearance < 0.0:
-        raise DomainError("controller reaction time and clearance must be non-negative")
-    if s.controller.assumed_human_speed < 0.0:
-        raise DomainError("assumed human speed must be non-negative")
-    if not (0.0 <= s.perception.p_base <= 1.0):
-        raise DomainError(f"p_base outside [0, 1]: {s.perception.p_base}")
-    if not (0.0 < s.perception.e_min < s.perception.e_sat):
+    if not (s.perception.e_min < s.perception.e_sat):
         raise DomainError(
-            f"need 0 < e_min < e_sat, got {s.perception.e_min}, {s.perception.e_sat}")
-    if s.perception.contrast_exponent < 0.0:
-        raise DomainError("contrast exponent must be non-negative")
-    if s.perception.miss_horizon < 0:
-        raise DomainError("miss horizon must be non-negative")
+            f"need e_min < e_sat, got {s.perception.e_min}, {s.perception.e_sat}")
 
 
-# -- dotted-path field access ------------------------------------------------
+def _field(path: str) -> ScenarioField:
+    try:
+        return SCENARIO_FIELDS[path]
+    except KeyError:
+        raise BindingError(f"no scenario field at path {path!r}") from None
 
-_GROUPS = ("belt", "arm", "operator", "camera", "environment", "controller",
-           "perception")
+
+def _replaced(scenario: Scenario, path: str, value) -> Scenario:
+    group, _, name = path.rpartition(".")
+    if group:
+        name, value = group, replace(getattr(scenario, group), **{name: value})
+    return replace(scenario, **{name: value})
 
 
 def scenario_get(scenario: Scenario, path: str):
     """Fetch a field by dotted path, e.g. ``environment.illuminance``."""
-    obj = scenario
-    for part in _split_path(path):
-        obj = getattr(obj, part)
-    return obj
+    return _field(path).get(scenario)
 
 
 def scenario_with(scenario: Scenario, path: str, value) -> Scenario:
     """Return a scenario with the field at `path` replaced by `value`.
 
-    The value is coerced to the field's current type; incompatible values
-    raise BindingError.
+    The value is coerced to the field's type; incompatible values raise
+    BindingError.
     """
-    parts = _split_path(path)
-    if len(parts) == 1:
-        current = getattr(scenario, parts[0])
-        return replace(scenario, **{parts[0]: _coerce(path, value, current)})
-    group_name, field_name = parts
-    group = getattr(scenario, group_name)
-    current = getattr(group, field_name)
-    return replace(scenario, **{group_name: replace(
-        group, **{field_name: _coerce(path, value, current)})})
-
-
-def _split_path(path: str) -> list[str]:
-    parts = path.split(".")
-    if len(parts) == 1 and parts[0] in ("duration", "dt"):
-        return parts
-    if len(parts) != 2 or parts[0] not in _GROUPS:
-        raise BindingError(f"no scenario field at path {path!r}")
-    group_fields = {f.name for f in fields(getattr(Scenario(), parts[0]))}
-    if parts[1] not in group_fields:
-        raise BindingError(f"no scenario field at path {path!r}")
-    return parts
-
-
-def _coerce(path, value, current):
-    if isinstance(current, bool):
-        if isinstance(value, bool):
-            return value
-        raise BindingError(f"{path}: expected a boolean, got {value!r}")
-    if isinstance(current, int):
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise BindingError(f"{path}: expected an integer, got {value!r}")
-        if isinstance(value, (int, float)):
-            return int(value)
-        raise BindingError(f"{path}: expected an integer, got {value!r}")
-    if isinstance(current, float):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise BindingError(f"{path}: expected a number, got {value!r}")
-    if isinstance(current, tuple):
-        try:
-            x, y = value
-            return (float(x), float(y))
-        except (TypeError, ValueError):
-            raise BindingError(f"{path}: expected a point, got {value!r}") from None
-    if isinstance(current, str):
-        if isinstance(value, str):
-            return value
-        raise BindingError(f"{path}: expected a string, got {value!r}")
-    raise BindingError(f"{path}: unsupported field type")
+    kind = _TYPES[_field(path).type]
+    coerced = kind.coerce(value)
+    if coerced is None:
+        raise BindingError(f"{path}: expected {kind.noun}, got {value!r}")
+    return _replaced(scenario, path, coerced)
 
 
 def bind_assignment(scenario: Scenario, model, assignment: dict) -> Scenario:
@@ -232,55 +261,24 @@ def bind_assignment(scenario: Scenario, model, assignment: dict) -> Scenario:
 
 # -- file format --------------------------------------------------------------
 
-_POINT_KEYS = {"belt.start", "belt.end", "arm.base", "arm.bin",
-               "operator.start", "camera.position"}
-_INT_KEYS = {"belt.object_count", "perception.miss_horizon"}
-_BOOL_KEYS = {"perception.ignore_occlusion"}
-_STR_KEYS = {"controller.mode"}
-
 
 def load_scenario(text: str, source: str = "<string>") -> Scenario:
     """Build a scenario from key-value text; unspecified keys keep defaults.
 
-    Unknown keys raise ConfigError so typos cannot silently change nothing.
+    Unknown keys raise ConfigError so typos cannot silently change nothing;
+    values outside their field's domain raise DomainError.
     """
     scenario = Scenario()
     for key, raw in read_kv(text, source).items():
-        if key in _POINT_KEYS:
-            value = parse_point(key, raw)
-        elif key in _INT_KEYS:
-            value = parse_int(key, raw)
-        elif key in _BOOL_KEYS:
-            value = parse_bool(key, raw)
-        elif key in _STR_KEYS:
-            value = raw
-        else:
-            value = parse_float(key, raw)
-        try:
-            scenario = scenario_with(scenario, key, value)
-        except BindingError as exc:
-            raise ConfigError(f"{source}: {exc}") from None
+        f = SCENARIO_FIELDS.get(key)
+        if f is None:
+            raise ConfigError(f"{source}: no scenario field at path {key!r}")
+        scenario = _replaced(scenario, key, _TYPES[f.type].parse(key, raw))
     validate_scenario(scenario)
     return scenario
 
 
 def dump_scenario(scenario: Scenario) -> str:
     """Emit every field in the key-value format, defaults included."""
-    entries: dict[str, str] = {
-        "duration": repr(scenario.duration),
-        "dt": repr(scenario.dt),
-    }
-    for group in _GROUPS:
-        obj = getattr(scenario, group)
-        for f in fields(obj):
-            key = f"{group}.{f.name}"
-            value = getattr(obj, f.name)
-            if isinstance(value, bool):
-                entries[key] = "true" if value else "false"
-            elif isinstance(value, tuple):
-                entries[key] = f"{value[0]!r}, {value[1]!r}"
-            elif isinstance(value, float):
-                entries[key] = repr(value)
-            else:
-                entries[key] = str(value)
-    return write_kv(entries)
+    return write_kv({path: _TYPES[f.type].text(f.get(scenario))
+                     for path, f in SCENARIO_FIELDS.items()})

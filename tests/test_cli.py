@@ -63,6 +63,25 @@ def test_validate_reports_diagnostics(tmp_path):
     assert "ghost" in result.stderr
 
 
+def _corner_with(old, new):
+    text = MODEL.read_text()
+    assert old in text
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("[50, 1000] lux", "[50, 1e999] lux"),
+    ("[50, 1000] lux", "[-1e999, 1000] lux"),
+    ("min_margin < 0", "min_margin < -1e999"),
+], ids=["upper-bound", "lower-bound", "threshold"])
+def test_validate_rejects_non_finite_model_numbers(tmp_path, old, new):
+    bad = tmp_path / "bad.riskml"
+    bad.write_text(_corner_with(old, new))
+    result = run_cli("validate", "--model", bad)
+    assert result.returncode == 1
+    assert "non-finite" in result.stderr
+
+
 def test_validate_missing_file_is_an_io_error():
     result = run_cli("validate", "--model", "/nonexistent/m.riskml")
     assert result.returncode == 2
@@ -418,3 +437,39 @@ def test_replay_requires_a_json_object(campaign):
                      "--scenario", SCENARIO, cwd=campaign)
     assert result.returncode == 2
     assert "JSON object" in result.stderr
+
+
+_POINT = {"illuminance": 400.0, "belt_speed": 0.3, "operator_speed": 1.0}
+
+
+@pytest.mark.parametrize("line", [
+    "controller.reaction_time = nan",
+    "arm.base = nan, 0",
+    "arm.link1 = inf",
+    "environment.illuminance = nan",
+    "camera.yaw = nan",
+    "duration = inf",
+    "environment.contrast = 1.0000000000000002",
+])
+def test_replay_rejects_a_scenario_it_cannot_simulate(tmp_path, line):
+    (tmp_path / "bad.scenario").write_text(line + "\n")
+    (tmp_path / "point.json").write_text(json.dumps(_POINT))
+    result = run_cli("replay", "point.json", "--model", MODEL,
+                     "--scenario", "bad.scenario", "--out", "out",
+                     cwd=tmp_path)
+    assert result.returncode == 2
+    assert line.split(" ")[0] in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out" / "verdict.json").exists()
+
+
+def test_replay_of_an_infinite_feature_value_judges_nothing(tmp_path):
+    (tmp_path / "open.riskml").write_text(
+        _corner_with("[50, 1000] lux", "[50, 1e999] lux"))
+    (tmp_path / "point.json").write_text(
+        json.dumps({**_POINT, "illuminance": float("inf")}))
+    result = run_cli("replay", "point.json", "--model", "open.riskml",
+                     "--scenario", SCENARIO, "--out", "out", cwd=tmp_path)
+    assert result.returncode == 1
+    assert "non-finite" in result.stderr
+    assert not (tmp_path / "out" / "verdict.json").exists()

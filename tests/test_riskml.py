@@ -1,5 +1,7 @@
 """Parser, validator, serializer, and assurance-case derivation."""
 
+import pickle
+
 import pytest
 
 from riskbench.errors import (ModelInvalidError, RiskmlSyntaxError,
@@ -167,6 +169,19 @@ def test_load_model_raises_on_diagnostics():
     with pytest.raises(ModelInvalidError) as err:
         load_model("actor a\ngoal g owner ghost \"g\"")
     assert any("ghost" in d.message for d in err.value.diagnostics)
+
+
+@pytest.mark.parametrize("error", [
+    RiskmlSyntaxError("bad", 1, 2),
+    RiskmlSyntaxError("bad", 3, 4, ("actor", "goal")),
+    ModelInvalidError(["d1", "d2"]),
+    ModelInvalidError(_diagnostics('actor a\ngoal g owner ghost "g"')),
+], ids=["syntax", "syntax-expected", "invalid-strings", "invalid-diagnostics"])
+def test_errors_survive_a_pickle_round_trip(error):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)
 
 
 def test_lookup_unknown_name():

@@ -3,18 +3,23 @@
 import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from riskbench.errors import DomainError, UnknownNameError
+from riskbench.errors import ConfigError, DomainError, UnknownNameError
 from riskbench.riskml import parse_risk_model
+from riskbench.search import campaign_evaluator
 from riskbench.sim import (CONTACT_EPSILON, LABEL_COMPLIANCE,
                            LABEL_NON_COMPLIANCE, MODE_MONITORED_STOP,
                            TRACE_COLUMNS, Scenario, TraceMetrics,
                            bind_assignment, condition_robustness,
                            dump_scenario, evaluate_events, load_scenario,
                            protective_distance, scenario_with, simulate,
-                           trace_to_csv, validate_scenario)
+                           trace_to_csv, validate_scenario,
+                           verdict_from_robustness)
 from riskbench.sim.perception import (detection_probability, illuminance_gate,
                                       in_field_of_view, occlusion_fraction)
+from riskbench.sim.scenario import _DOMAINS, _TYPES, SCENARIO_FIELDS
 
 
 def _cell(belt=0.1, lux=5000.0, intrusion=0.4, **extra):
@@ -121,6 +126,92 @@ def test_validate_scenario_rejects_nonsense():
         validate_scenario(scenario_with(Scenario(), "belt.speed", -1.0))
     with pytest.raises(DomainError):
         validate_scenario(scenario_with(Scenario(), "controller.mode", "prayer"))
+
+
+_NUMERIC_FIELDS = [f for f in SCENARIO_FIELDS.values()
+                   if f.type in (float, int, tuple)]
+
+
+def test_the_field_table_is_complete():
+    # A misspelt domain path would leave its field merely finite, and a
+    # field type without parser and formatter could not be loaded.
+    assert set(_DOMAINS) <= set(SCENARIO_FIELDS)
+    assert {f.type for f in SCENARIO_FIELDS.values()} <= set(_TYPES)
+
+
+@pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", _NUMERIC_FIELDS, ids=lambda f: f.path)
+def test_a_non_finite_scenario_value_is_rejected(field, word):
+    texts = [f"{word}, 0.5", f"0.5, {word}"] if field.type is tuple \
+        else [word]
+    for text in texts:
+        with pytest.raises((DomainError, ConfigError), match=field.path):
+            load_scenario(f"{field.path} = {text}\n")
+
+
+def _just_outside(field):
+    if field.choices:
+        return [field.choices[0].upper()]
+    if field.type is int:
+        return [int(field.lo) - 1]
+    values = []
+    if field.lo > -math.inf:
+        values.append(field.lo if field.lo_open
+                      else math.nextafter(field.lo, -math.inf))
+    if field.hi < math.inf:
+        values.append(math.nextafter(field.hi, math.inf))
+    return values
+
+
+_OUTSIDE = [(f.path, value) for f in SCENARIO_FIELDS.values()
+            for value in _just_outside(f)]
+
+
+@pytest.mark.parametrize("path,value", _OUTSIDE,
+                         ids=[f"{p}={v!r}" for p, v in _OUTSIDE])
+def test_a_value_just_outside_its_domain_is_rejected(path, value):
+    text = value if isinstance(value, str) else repr(value)
+    with pytest.raises(DomainError, match=path):
+        load_scenario(f"{path} = {text}\n")
+
+
+def _in_domain(field):
+    if field.choices:
+        return st.sampled_from(field.choices)
+    if field.type is bool:
+        return st.booleans()
+    if field.type is int:
+        return st.integers(min_value=int(field.lo), max_value=10**6)
+    number = st.floats(
+        min_value=field.lo if field.lo > -math.inf else None,
+        max_value=field.hi if field.hi < math.inf else None,
+        exclude_min=field.lo_open, allow_nan=False, allow_infinity=False)
+    return st.tuples(number, number) if field.type is tuple else number
+
+
+@given(st.fixed_dictionaries({path: _in_domain(f)
+                              for path, f in SCENARIO_FIELDS.items()}))
+def test_dump_and_load_round_trip_any_valid_scenario(values):
+    values["dt"], values["duration"] = sorted(
+        (values["dt"], values["duration"]))
+    values["perception.e_min"], values["perception.e_sat"] = sorted(
+        (values["perception.e_min"], values["perception.e_sat"]))
+    assume(values["perception.e_min"] < values["perception.e_sat"])
+    assume(values["belt.start"] != values["belt.end"])
+    sc = Scenario()
+    for path, value in values.items():
+        sc = scenario_with(sc, path, value)
+    validate_scenario(sc)
+    assert load_scenario(dump_scenario(sc)) == sc
+
+
+def test_the_spanning_checks_still_hold():
+    with pytest.raises(DomainError, match="shorter than one step"):
+        load_scenario("duration = 0.01\ndt = 0.02\n")
+    with pytest.raises(DomainError, match="belt start equals belt end"):
+        load_scenario("belt.start = 0.5, 0.8\nbelt.end = 0.5, 0.8\n")
+    with pytest.raises(DomainError, match="e_min < e_sat"):
+        load_scenario("perception.e_min = 1000\nperception.e_sat = 1000\n")
 
 
 def test_bind_assignment_routes_values(default_model):
@@ -266,3 +357,40 @@ def test_unknown_metric_rejected():
     """)
     with pytest.raises(UnknownNameError):
         condition_robustness(model.event("e").condition, {"other": 1.0})
+
+
+def test_a_nan_robustness_judges_nothing():
+    sit = _EVENT_MODEL.situation("s")
+    with pytest.raises(DomainError, match="NaN"):
+        evaluate_events(_metrics(math.nan), _EVENT_MODEL, sit)
+
+
+# One simulator seed of this point violates insufficient_distance and the
+# other does not; the mean robustness does not violate.
+_SPLIT_POINT = {"illuminance": 164.8454618155161,
+                "belt_speed": 0.23307807414405166,
+                "hand_intrusion": 0.30251954265414394,
+                "operator_speed": 1.1534301236343356,
+                "contrast": 0.9555084107596217,
+                "camera_yaw": 1.5154748999729906}
+
+
+def test_multi_seed_label_follows_the_mean(default_model, default_scenario):
+    sit = default_model.situation("close_collaboration")
+    bound = bind_assignment(default_scenario, default_model, _SPLIT_POINT)
+    singles = [evaluate_events(simulate(bound, seed), default_model, sit)
+               for seed in (0, 1)]
+    assert [v.label for v in singles] == [LABEL_NON_COMPLIANCE,
+                                          LABEL_COMPLIANCE]
+    mean = {name: (singles[0].outcome(name).robustness
+                   + singles[1].outcome(name).robustness) / 2
+            for name in sit.exposes}
+    assert mean["insufficient_distance"] > 0.0
+
+    evaluator = campaign_evaluator(default_model, default_scenario,
+                                   "close_collaboration",
+                                   "insufficient_distance", sim_seeds=(0, 1))
+    robustness, verdict = evaluator(_SPLIT_POINT)
+    assert verdict == verdict_from_robustness(default_model, sit, mean)
+    assert verdict.label == LABEL_COMPLIANCE
+    assert robustness == mean["insufficient_distance"]
