@@ -9,9 +9,8 @@ for membership checks and for the report text.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import DomainError, EmptyRegionError
 from ..riskml.model import CATEGORICAL, INTEGER
@@ -136,6 +135,8 @@ def generate_counterexamples(rule: Rule, space: FeatureSpace, n: int,
     """n assignments drawn uniformly from rule region ∩ feature domains."""
     if n < 0:
         raise DomainError(f"sample count must be non-negative, got {n}")
+    # Imported here so that start-up does not pay for it.
+    import numpy as np
     rng = np.random.default_rng(seed)
 
     samplers = []
@@ -157,9 +158,9 @@ def generate_counterexamples(rule: Rule, space: FeatureSpace, n: int,
                 hi = min(hi, constraint.hi)
                 strict = constraint.lo_strict
             if dim.kind == INTEGER:
-                lo_i = int(np.floor(lo)) + 1 if (strict and lo == int(lo)) \
-                    else int(np.ceil(lo))
-                hi_i = int(np.floor(hi))
+                lo_i = math.floor(lo) + 1 if (strict and lo == int(lo)) \
+                    else math.ceil(lo)
+                hi_i = math.floor(hi)
                 if lo_i > hi_i:
                     raise EmptyRegionError(
                         f"empty region: no integer in [{lo}, {hi}] "

@@ -19,8 +19,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import ConfigError
 from .space import FeatureSpace, decode
 
@@ -175,6 +173,9 @@ def run_search(space: FeatureSpace, evaluator, config: SearchConfig,
 
 def _search(space: FeatureSpace, config: SearchConfig,
             evaluate_many) -> Archive:
+    # numpy is imported where random numbers are drawn, so that commands
+    # which never search do not pay for it at start-up.
+    import numpy as np
     rng = np.random.default_rng(config.seed)
     driver = _Driver(space, config, evaluate_many)
     if config.algorithm == "random":
@@ -234,6 +235,7 @@ def _local_search(driver: _Driver, rng, annealing: bool) -> None:
     both modes, so the two algorithms see identical random streams and
     annealing degenerates to hill climbing as t0 -> 0.
     """
+    import numpy as np
     cfg = driver.config
     d = len(driver.space)
     temperature = cfg.t0
@@ -272,6 +274,7 @@ def _local_search(driver: _Driver, rng, annealing: bool) -> None:
 def _genetic(driver: _Driver, rng) -> None:
     """Generational GA: tournament parents, uniform crossover, per-gene
     Gaussian mutation at rate 1/d, elitism of one."""
+    import numpy as np
     cfg = driver.config
     d = len(driver.space)
     pop_size = cfg.population

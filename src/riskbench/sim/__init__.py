@@ -9,7 +9,7 @@ from .perception import (detection_probability, illuminance_gate,
                          in_field_of_view, occlusion_fraction)
 from .scenario import (MODE_MONITORED_STOP, MODE_SSM, Scenario,
                        bind_assignment, dump_scenario, load_scenario,
-                       scenario_get, scenario_with, validate_scenario)
+                       scenario_with, validate_scenario)
 
 __all__ = [
     "CONTACT_EPSILON", "TRACE_COLUMNS", "Trace", "TraceMetrics",
@@ -19,6 +19,5 @@ __all__ = [
     "detection_probability", "illuminance_gate", "in_field_of_view",
     "occlusion_fraction",
     "MODE_MONITORED_STOP", "MODE_SSM", "Scenario", "bind_assignment",
-    "dump_scenario", "load_scenario", "scenario_get", "scenario_with",
-    "validate_scenario",
+    "dump_scenario", "load_scenario", "scenario_with", "validate_scenario",
 ]

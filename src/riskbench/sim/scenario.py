@@ -97,9 +97,9 @@ class Scenario:
 
 # Every number and point coordinate must be finite; these fields must be
 # more. A non-braking arm (brake_decel 0) is not assurable.
-_POSITIVE = ("duration", "dt", "belt.spawn_interval", "arm.link1", "arm.link2",
-             "arm.max_speed", "arm.brake_decel", "arm.pick_radius",
-             "operator.hand_speed", "perception.e_min", "perception.e_sat")
+_POSITIVE = ("belt.spawn_interval", "arm.max_speed", "arm.brake_decel",
+             "arm.pick_radius", "operator.hand_speed", "perception.e_min",
+             "perception.e_sat")
 _NON_NEGATIVE = ("belt.speed", "belt.object_count", "operator.hand_intrusion",
                  "operator.approach_time", "environment.illuminance",
                  "controller.reaction_time", "controller.assumed_human_speed",
@@ -108,6 +108,12 @@ _NON_NEGATIVE = ("belt.speed", "belt.object_count", "operator.hand_intrusion",
 _DOMAINS = {
     **dict.fromkeys(_POSITIVE, {"lo": 0.0, "lo_open": True}),
     **dict.fromkeys(_NON_NEGATIVE, {"lo": 0.0}),
+    # One domain for both, so an episode has at most 10^5 steps.
+    **dict.fromkeys(("duration", "dt"), {"lo": 1e-3, "hi": 100.0}),
+    # Metres. A link of 1e308 m overflows the safety margin to inf, which
+    # would read as a compliant cell.
+    **dict.fromkeys(("arm.link1", "arm.link2"),
+                    {"lo": 0.0, "hi": 10.0, "lo_open": True}),
     "environment.contrast": {"lo": 0.0, "hi": 1.0},
     "perception.p_base": {"lo": 0.0, "hi": 1.0},
     "camera.fov_half_angle": {"lo": 0.0, "hi": math.pi, "lo_open": True},
@@ -223,11 +229,6 @@ def _replaced(scenario: Scenario, path: str, value) -> Scenario:
     if group:
         name, value = group, replace(getattr(scenario, group), **{name: value})
     return replace(scenario, **{name: value})
-
-
-def scenario_get(scenario: Scenario, path: str):
-    """Fetch a field by dotted path, e.g. ``environment.illuminance``."""
-    return _field(path).get(scenario)
 
 
 def scenario_with(scenario: Scenario, path: str, value) -> Scenario:

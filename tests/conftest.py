@@ -35,8 +35,11 @@ def _at_most_two_cpus():
     os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
 
 
-def run_cli(*args, cwd=None):
-    pythonpath = filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")])
+def run_cli(*args, cwd=None, pythonpath=()):
+    """Run the CLI in a child process; `pythonpath` entries go first on its
+    path, ahead of the package and any inherited entries."""
+    pythonpath = filter(None, [*map(str, pythonpath), _PACKAGE_ROOT,
+                               os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
     limit = _at_most_two_cpus if hasattr(os, "sched_setaffinity") else None
     result = subprocess.run([*_CLI, *map(str, args)], cwd=cwd, env=env,

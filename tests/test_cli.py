@@ -1,7 +1,10 @@
 """Command line surface: artifacts, exit codes, and failure modes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +13,7 @@ from riskbench.fileio import read_text
 from riskbench.search import (SearchConfig, archive_to_csv,
                               make_feature_space, run_campaign)
 
-from conftest import run_cli
+from conftest import _PACKAGE_ROOT, run_cli
 
 MODEL = data_path("corner.riskml")
 SCENARIO = data_path("corner_cell.scenario")
@@ -450,6 +453,8 @@ _POINT = {"illuminance": 400.0, "belt_speed": 0.3, "operator_speed": 1.0}
     "camera.yaw = nan",
     "duration = inf",
     "environment.contrast = 1.0000000000000002",
+    "duration = 1e7",
+    "arm.link1 = 1e308",
 ])
 def test_replay_rejects_a_scenario_it_cannot_simulate(tmp_path, line):
     (tmp_path / "bad.scenario").write_text(line + "\n")
@@ -473,3 +478,32 @@ def test_replay_of_an_infinite_feature_value_judges_nothing(tmp_path):
     assert result.returncode == 1
     assert "non-finite" in result.stderr
     assert not (tmp_path / "out" / "verdict.json").exists()
+
+
+# -- start-up -----------------------------------------------------------------
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    env = {**os.environ, "PYTHONPATH": _PACKAGE_ROOT}
+    probe = "import sys, riskbench.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_validate_cases_and_replay_run_without_numpy(tmp_path):
+    # A numpy that cannot be imported: any command that imports it fails,
+    # and run_cli reports the ImportError.
+    stub = tmp_path / "stub" / "numpy"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text(
+        'raise ImportError("numpy is not available")\n')
+    (tmp_path / "point.json").write_text(json.dumps(_POINT))
+    for args in [("validate", "--model", MODEL),
+                 ("cases", "--model", MODEL),
+                 ("replay", "point.json", "--model", MODEL,
+                  "--scenario", SCENARIO, "--out", "out")]:
+        result = run_cli(*args, cwd=tmp_path, pythonpath=[stub.parent])
+        assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "verdict.json").exists()

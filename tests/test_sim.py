@@ -214,6 +214,11 @@ def test_the_spanning_checks_still_hold():
         load_scenario("perception.e_min = 1000\nperception.e_sat = 1000\n")
 
 
+def test_an_episode_has_at_most_a_hundred_thousand_steps():
+    duration, dt = SCENARIO_FIELDS["duration"], SCENARIO_FIELDS["dt"]
+    assert int(duration.hi / dt.lo) <= 10**5
+
+
 def test_bind_assignment_routes_values(default_model):
     sc = bind_assignment(Scenario(), default_model,
                          {"illuminance": 321.0, "belt_speed": 0.25})
