@@ -21,13 +21,10 @@ class LabeledDataset:
 
 def build_dataset(archive: Archive, space: FeatureSpace) -> LabeledDataset:
     """One row per evaluated point, labeled by its verdict."""
-    if not archive.points:
-        raise DomainError("cannot build a dataset from an empty archive")
-    rows = tuple(
-        (tuple(point.assignment[dim.name] for dim in space.dims),
-         point.verdict.label)
-        for point in archive.points)
-    return LabeledDataset(columns=space.dims, rows=rows)
+    # Rows in parse_archive_csv's shape; only assignment and label are read.
+    return dataset_from_rows(space, [
+        (None, point.assignment, None, point.verdict.label, None)
+        for point in archive.points])
 
 
 def dataset_from_rows(space: FeatureSpace, rows) -> LabeledDataset:

@@ -4,15 +4,13 @@ from .algorithms import (ALGORITHMS, STALL_LIMIT, Archive, EvaluatedPoint,
                          SearchConfig, run_search, validate_search_config)
 from .archive_io import (ARCHIVE_FORMAT, archive_header, archive_to_csv,
                          parse_archive_csv)
-from .campaign import (MAXIMIZE, MINIMIZE, ObjectiveSpec, campaign_evaluator,
-                       objective_from_event, run_campaign)
+from .campaign import campaign_evaluator, run_campaign
 from .space import FeatureSpace, decode, encode, make_feature_space
 
 __all__ = [
     "ALGORITHMS", "STALL_LIMIT", "Archive", "EvaluatedPoint", "SearchConfig",
     "run_search", "validate_search_config",
     "ARCHIVE_FORMAT", "archive_header", "archive_to_csv", "parse_archive_csv",
-    "MAXIMIZE", "MINIMIZE", "ObjectiveSpec", "campaign_evaluator",
-    "objective_from_event", "run_campaign",
+    "campaign_evaluator", "run_campaign",
     "FeatureSpace", "decode", "encode", "make_feature_space",
 ]

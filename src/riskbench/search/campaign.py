@@ -2,38 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import DomainError, UnknownNameError
 from ..riskml.model import RiskModel
 from ..sim.engine import simulate
 from ..sim.events import evaluate_events, verdict_from_robustness
 from ..sim.scenario import Scenario, bind_assignment
 from .algorithms import Archive, SearchConfig, run_search
-from .space import FeatureSpace, make_feature_space
-
-MINIMIZE = "minimize"
-MAXIMIZE = "maximize"
-
-
-@dataclass(frozen=True)
-class ObjectiveSpec:
-    event: str
-    metric: str
-    direction: str
-
-
-def objective_from_event(model: RiskModel, event_name: str) -> ObjectiveSpec:
-    """Which metric the search effectively pushes, and which way.
-
-    Robustness is what gets minimized either way; the direction is the
-    human-readable consequence: `metric < t` events drive the metric down,
-    `metric > t` events drive it up.
-    """
-    event = model.event(event_name)
-    direction = MINIMIZE if event.condition.op == "<" else MAXIMIZE
-    return ObjectiveSpec(event=event_name, metric=event.condition.metric,
-                         direction=direction)
+from .space import make_feature_space
 
 
 class CampaignEvaluator:

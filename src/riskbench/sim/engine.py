@@ -17,18 +17,11 @@ import random
 from dataclasses import dataclass
 
 from ..errors import DomainError
-from .geometry import (point_segment_distance, segment_segment_distance,
-                       two_link_elbow)
-from .perception import (ARM_LINK_RADIUS, HAND_DISC_RADIUS, N_OCCLUSION_RAYS,
-                         OBJECT_RADIUS, _SAMPLE_OFFSETS, illuminance_gate,
+from .geometry import point_segment_distance, two_link_elbow
+from .perception import (ARM_LINK_RADIUS, OBJECT_RADIUS,
+                         detection_probability, hand_detected,
                          in_field_of_view)
 from .scenario import MODE_MONITORED_STOP, MODE_SSM, Scenario, validate_scenario
-
-# Screening slack: a blocker farther than its radius plus the hand-disc
-# radius from the camera-to-hand sight line cannot touch any sample ray.
-_LINK_SCREEN = ARM_LINK_RADIUS + HAND_DISC_RADIUS
-_DISC_SCREEN = OBJECT_RADIUS + HAND_DISC_RADIUS
-_N_RAYS = float(N_OCCLUSION_RAYS)
 
 TRACE_COLUMNS = ("t", "d", "S_p", "v_r", "detected",
                  "ee_x", "ee_y", "hand_x", "hand_y")
@@ -59,18 +52,18 @@ def protective_distance(v_r: float, reaction_time: float,
                         min_clearance: float) -> float:
     """Separation the cell must hold at robot speed v_r.
 
-    Covers human travel during the reaction window, robot travel during the
-    reaction window, the robot braking distance, and a fixed clearance.
+    Covers human travel during the reaction window plus a fixed clearance,
+    robot travel during the reaction window, and the robot braking
+    distance.
     """
     if brake_decel <= 0.0:
         raise DomainError(
             f"brake_decel must be positive, got {brake_decel!r}")
     if v_r < 0.0:
         raise DomainError(f"robot speed must be non-negative, got {v_r!r}")
-    return (assumed_human_speed * reaction_time
+    return (assumed_human_speed * reaction_time + min_clearance
             + v_r * reaction_time
-            + v_r * v_r / (2.0 * brake_decel)
-            + min_clearance)
+            + v_r * v_r * (1.0 / (2.0 * brake_decel)))
 
 
 @dataclass(frozen=True)
@@ -176,13 +169,14 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     approach = op.approach_time
 
     # Perception constants folded down to one pre-occlusion probability.
-    cam_x, cam_y = cam.position
+    cam_xy = cam.position
+    cam_x, cam_y = cam_xy
     cam_yaw = cam.yaw
     half_angle = cam.fov_half_angle
-    gate = illuminance_gate(env.illuminance, per.e_min, per.e_sat)
-    p_clear = per.p_base * gate * (env.contrast ** per.contrast_exponent)
-    if p_clear < 0.0 or p_clear > 1.0:
-        raise DomainError(f"detection probability outside [0, 1]: {p_clear}")
+    p_clear = detection_probability(
+        per.p_base, env.illuminance, env.contrast, occlusion=0.0,
+        e_min=per.e_min, e_sat=per.e_sat,
+        contrast_exponent=per.contrast_exponent)
     miss_horizon = per.miss_horizon
     ignore_occ = per.ignore_occlusion
 
@@ -248,75 +242,27 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
                             cam_x, cam_y, cam_yaw, half_angle, ox, oy):
                         if p_clear >= 1.0 or rng.random() < p_clear:
                             acquired[i] = True
-        if ignore_occ:
-            in_view = True
-        else:
-            in_view = in_field_of_view(cam_x, cam_y, cam_yaw, half_angle,
-                                       hand_x, hand_y)
+        in_view = ignore_occ or in_field_of_view(cam_x, cam_y, cam_yaw,
+                                                 half_angle, hand_x, hand_y)
         if in_view:
             fov_steps += 1
-            if p_clear <= 0.0:
-                pass
-            elif ignore_occ:
-                detected = p_clear >= 1.0 or rng.random() < p_clear
-            else:
-                # One uniform draw decides the step; detection holds
-                # iff u < p_clear * (1 - occ) with occ the blocked
-                # fraction of the 16-ray fan. Drawing first lets most
-                # steps skip some or all of the ray tests: the blocked
-                # count only moves the threshold monotonically, so a
-                # partial count often already settles the comparison.
-                # A saturated p_clear needs no draw (occ < 1 decides).
+            if p_clear > 0.0:
+                # One uniform draw decides the step; a saturated p_clear
+                # needs none.
                 u = rng.random() if p_clear < 1.0 else 0.0
-                if u >= p_clear:
-                    detected = False
-                else:
-                    near = []
-                    for lax, lay, lbx, lby in (
-                            (base_x, base_y, elbow_x, elbow_y),
-                            (elbow_x, elbow_y, ee_x, ee_y)):
-                        if segment_segment_distance(
-                                cam_x, cam_y, hand_x, hand_y,
-                                lax, lay, lbx, lby) <= _LINK_SCREEN:
-                            near.append((lax, lay, lbx, lby,
-                                         ARM_LINK_RADIUS))
+                links = discs = ()
+                if not ignore_occ:
+                    links = ((base_x, base_y, elbow_x, elbow_y,
+                              ARM_LINK_RADIUS),
+                             (elbow_x, elbow_y, ee_x, ee_y, ARM_LINK_RADIUS))
+                    discs = []
                     for i in range(n_objects):
                         if spawned[i] and not picked[i] and not fallen[i]:
-                            ox = belt_sx + belt_ux * travel[i]
-                            oy = belt_sy + belt_uy * travel[i]
-                            if point_segment_distance(
-                                    ox, oy, cam_x, cam_y, hand_x,
-                                    hand_y) <= _DISC_SCREEN:
-                                near.append((ox, oy, ox, oy,
-                                             OBJECT_RADIUS))
-                    if not near:
-                        detected = True
-                    else:
-                        blocked = 0
-                        left = N_OCCLUSION_RAYS
-                        verdict_known = False
-                        for off_x, off_y in _SAMPLE_OFFSETS:
-                            sx = hand_x + off_x
-                            sy = hand_y + off_y
-                            left -= 1
-                            for qax, qay, qbx, qby, rad in near:
-                                if segment_segment_distance(
-                                        cam_x, cam_y, sx, sy,
-                                        qax, qay, qbx, qby) <= rad:
-                                    blocked += 1
-                                    break
-                            if u >= p_clear * (1.0 - blocked / _N_RAYS):
-                                detected = False
-                                verdict_known = True
-                                break
-                            if u < p_clear * (1.0 - (blocked + left)
-                                              / _N_RAYS):
-                                detected = True
-                                verdict_known = True
-                                break
-                        if not verdict_known:
-                            detected = u < p_clear * (1.0 - blocked
-                                                      / _N_RAYS)
+                            discs.append((belt_sx + belt_ux * travel[i],
+                                          belt_sy + belt_uy * travel[i],
+                                          OBJECT_RADIUS))
+                detected = hand_detected(u, p_clear, cam_xy,
+                                         (hand_x, hand_y), links, discs)
             if detected:
                 hand_age = 0
                 last_hand_x = hand_x
@@ -498,7 +444,7 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
                                    elbow_x, elbow_y),
             point_segment_distance(torso_x, torso_y, elbow_x, elbow_y,
                                    ee_x, ee_y))
-        s_p = sp_static + v_r * t_r + v_r * v_r * inv_2a
+        s_p = protective_distance(v_r, t_r, v_h, a_brake, clearance)
         margin = d_true - s_p
         if margin < min_margin:
             min_margin = margin

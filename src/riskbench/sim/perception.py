@@ -29,6 +29,7 @@ _SAMPLE_OFFSETS = tuple(
      HAND_DISC_RADIUS * math.sin(2.0 * math.pi * k / N_OCCLUSION_RAYS))
     for k in range(N_OCCLUSION_RAYS)
 )
+_N_RAYS = float(N_OCCLUSION_RAYS)
 
 
 def illuminance_gate(illuminance: float, e_min: float, e_sat: float) -> float:
@@ -77,6 +78,63 @@ def in_field_of_view(cam_x: float, cam_y: float, yaw: float,
     return math.acos(cos_to_point) <= half_angle
 
 
+def _near_blockers(cam_x: float, cam_y: float, hand_x: float, hand_y: float,
+                   segments, discs) -> list:
+    """Blockers close enough to the camera-to-hand sight line to touch a
+    sample ray, as capsules (ax, ay, bx, by, radius); a disc becomes a
+    zero-length capsule. Most steps have a clear view, and this screen
+    spares them the per-ray tests."""
+    near = []
+    for ax, ay, bx, by, radius in segments:
+        if segment_segment_distance(cam_x, cam_y, hand_x, hand_y, ax, ay,
+                                    bx, by) <= radius + HAND_DISC_RADIUS:
+            near.append((ax, ay, bx, by, radius))
+    for ox, oy, radius in discs:
+        if point_segment_distance(ox, oy, cam_x, cam_y,
+                                  hand_x, hand_y) <= radius + HAND_DISC_RADIUS:
+            near.append((ox, oy, ox, oy, radius))
+    return near
+
+
+def _ray_blocked(cam_x: float, cam_y: float, sx: float, sy: float,
+                 near: list) -> bool:
+    """Whether a screened blocker cuts the ray from the camera to (sx, sy)."""
+    for ax, ay, bx, by, radius in near:
+        if segment_segment_distance(cam_x, cam_y, sx, sy,
+                                    ax, ay, bx, by) <= radius:
+            return True
+    return False
+
+
+def hand_detected(u: float, p_clear: float, cam: tuple, hand: tuple,
+                  segments, discs) -> bool:
+    """Whether a uniform draw u detects the in-view hand.
+
+    Detection holds iff u < p_clear * (1 - occ), with occ the blocked
+    fraction of the sample-ray fan. The blocked count only moves the
+    threshold one way, so the ray tests stop as soon as a partial count
+    settles the comparison. Blockers are given as in occlusion_fraction.
+    """
+    if u >= p_clear:
+        return False
+    cam_x, cam_y = cam
+    hand_x, hand_y = hand
+    near = _near_blockers(cam_x, cam_y, hand_x, hand_y, segments, discs)
+    if not near:
+        return True
+    blocked = 0
+    for k, (off_x, off_y) in enumerate(_SAMPLE_OFFSETS, 1):
+        blocked += _ray_blocked(cam_x, cam_y, hand_x + off_x, hand_y + off_y,
+                                near)
+        threshold = p_clear * (1.0 - blocked / _N_RAYS)
+        # Settled when the hits so far rule detection out, or when even
+        # blocking every remaining ray would not.
+        if u >= threshold or u < p_clear * (
+                1.0 - (blocked + N_OCCLUSION_RAYS - k) / _N_RAYS):
+            break
+    return u < threshold
+
+
 def occlusion_fraction(cam_x: float, cam_y: float, yaw: float,
                        half_angle: float, hand_x: float, hand_y: float,
                        segments: tuple = (), discs: tuple = ()) -> float:
@@ -88,36 +146,6 @@ def occlusion_fraction(cam_x: float, cam_y: float, yaw: float,
     """
     if not in_field_of_view(cam_x, cam_y, yaw, half_angle, hand_x, hand_y):
         return 1.0
-
-    # Screen blockers against the camera-to-hand corridor before paying for
-    # the full per-ray test; most steps have a clear view.
-    near_segments = []
-    for ax, ay, bx, by, radius in segments:
-        if segment_segment_distance(cam_x, cam_y, hand_x, hand_y,
-                                    ax, ay, bx, by) <= radius + HAND_DISC_RADIUS:
-            near_segments.append((ax, ay, bx, by, radius))
-    near_discs = []
-    for ox, oy, radius in discs:
-        if point_segment_distance(ox, oy, cam_x, cam_y,
-                                  hand_x, hand_y) <= radius + HAND_DISC_RADIUS:
-            near_discs.append((ox, oy, radius))
-    if not near_segments and not near_discs:
-        return 0.0
-
-    blocked = 0
-    for off_x, off_y in _SAMPLE_OFFSETS:
-        sx = hand_x + off_x
-        sy = hand_y + off_y
-        hit = False
-        for ax, ay, bx, by, radius in near_segments:
-            if segment_segment_distance(cam_x, cam_y, sx, sy, ax, ay, bx, by) <= radius:
-                hit = True
-                break
-        if not hit:
-            for ox, oy, radius in near_discs:
-                if point_segment_distance(ox, oy, cam_x, cam_y, sx, sy) <= radius:
-                    hit = True
-                    break
-        if hit:
-            blocked += 1
-    return blocked / float(N_OCCLUSION_RAYS)
+    near = _near_blockers(cam_x, cam_y, hand_x, hand_y, segments, discs)
+    return sum(_ray_blocked(cam_x, cam_y, hand_x + off_x, hand_y + off_y, near)
+               for off_x, off_y in _SAMPLE_OFFSETS) / _N_RAYS

@@ -455,6 +455,7 @@ _POINT = {"illuminance": 400.0, "belt_speed": 0.3, "operator_speed": 1.0}
     "environment.contrast = 1.0000000000000002",
     "duration = 1e7",
     "arm.link1 = 1e308",
+    "belt.object_count = 1000000000000",
 ])
 def test_replay_rejects_a_scenario_it_cannot_simulate(tmp_path, line):
     (tmp_path / "bad.scenario").write_text(line + "\n")

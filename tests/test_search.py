@@ -17,11 +17,10 @@ from riskbench.search import (ALGORITHMS, ARCHIVE_FORMAT, FeatureSpace,
                               SearchConfig,
                               archive_header, archive_to_csv,
                               campaign_evaluator, decode, encode,
-                              make_feature_space, objective_from_event,
-                              parse_archive_csv, run_campaign, run_search,
+                              make_feature_space, parse_archive_csv,
+                              run_campaign, run_search,
                               validate_search_config)
 from riskbench.search import algorithms
-from riskbench.search.campaign import MAXIMIZE, MINIMIZE
 
 SPACE = FeatureSpace(dims=(
     DomainFeature(name="x", kind="continuous", lo=0.0, hi=10.0),
@@ -330,15 +329,6 @@ def test_the_pool_is_no_larger_than_a_batch(monkeypatch, config, pool_size):
 
 
 # -- campaign plumbing --------------------------------------------------------
-
-
-def test_objective_direction_follows_the_operator(default_model):
-    low = objective_from_event(default_model, "insufficient_distance")
-    assert (low.metric, low.direction) == ("min_margin", MINIMIZE)
-    high = objective_from_event(default_model, "object_drop")
-    assert (high.metric, high.direction) == ("objects_fallen", MAXIMIZE)
-    with pytest.raises(UnknownNameError):
-        objective_from_event(default_model, "ghost")
 
 
 def test_campaign_evaluator_rejects_unexposed_event(default_model,

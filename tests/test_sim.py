@@ -1,13 +1,16 @@
 """Simulator determinism, perception model, and event evaluation."""
 
+import hashlib
 import math
+import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from riskbench.datafiles import data_text
 from riskbench.errors import ConfigError, DomainError, UnknownNameError
-from riskbench.riskml import parse_risk_model
+from riskbench.riskml import load_model, parse_risk_model
 from riskbench.search import campaign_evaluator
 from riskbench.sim import (CONTACT_EPSILON, LABEL_COMPLIANCE,
                            LABEL_NON_COMPLIANCE, MODE_MONITORED_STOP,
@@ -17,8 +20,9 @@ from riskbench.sim import (CONTACT_EPSILON, LABEL_COMPLIANCE,
                            protective_distance, scenario_with, simulate,
                            trace_to_csv, validate_scenario,
                            verdict_from_robustness)
-from riskbench.sim.perception import (detection_probability, illuminance_gate,
-                                      in_field_of_view, occlusion_fraction)
+from riskbench.sim.perception import (detection_probability, hand_detected,
+                                      illuminance_gate, in_field_of_view,
+                                      occlusion_fraction)
 from riskbench.sim.scenario import _DOMAINS, _TYPES, SCENARIO_FIELDS
 
 
@@ -108,6 +112,28 @@ def test_occlusion_fraction_geometry():
     assert occlusion_fraction(0.0, 0.0, 0.0, 0.2, -2.0, 0.0) == 1.0
 
 
+# The hand and its blockers share a small box, so that about a quarter of
+# the examples block some rays but not all.
+_FAR = st.floats(-1.0, 1.0)
+_NEAR = st.floats(-0.15, 0.15)
+_RADIUS = st.floats(0.005, 0.1)
+
+
+@settings(max_examples=300)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0),
+       st.tuples(_FAR, _FAR), st.tuples(_NEAR, _NEAR),
+       st.lists(st.tuples(_NEAR, _NEAR, _NEAR, _NEAR, _RADIUS),
+                max_size=3),
+       st.lists(st.tuples(_NEAR, _NEAR, _RADIUS), max_size=3))
+def test_the_early_exit_kernel_agrees_with_the_full_count(u, p, cam, hand,
+                                                          segments, discs):
+    # A half angle of pi keeps every hand in view.
+    occ = occlusion_fraction(*cam, 0.0, math.pi, *hand, segments=segments,
+                             discs=discs)
+    assert hand_detected(u, p, cam, hand, segments, discs) == \
+        (u < p * (1.0 - occ))
+
+
 # -- scenario files and bindings ------------------------------------------
 
 
@@ -153,7 +179,8 @@ def _just_outside(field):
     if field.choices:
         return [field.choices[0].upper()]
     if field.type is int:
-        return [int(field.lo) - 1]
+        return [int(field.lo) - 1] + (
+            [int(field.hi) + 1] if field.hi < math.inf else [])
     values = []
     if field.lo > -math.inf:
         values.append(field.lo if field.lo_open
@@ -181,7 +208,8 @@ def _in_domain(field):
     if field.type is bool:
         return st.booleans()
     if field.type is int:
-        return st.integers(min_value=int(field.lo), max_value=10**6)
+        return st.integers(min_value=int(field.lo),
+                           max_value=int(min(field.hi, 10**6)))
     number = st.floats(
         min_value=field.lo if field.lo > -math.inf else None,
         max_value=field.hi if field.hi < math.inf else None,
@@ -302,6 +330,54 @@ def test_monitored_stop_reference_run():
 def test_collision_flag_tracks_min_distance():
     m = simulate(_cell(belt=0.3), 11).metrics
     assert m.collision == (m.min_distance < CONTACT_EPSILON)
+
+
+_SHIPPED = {
+    "default": (load_model(data_text("default.riskml")),
+                load_scenario(data_text("default_cell.scenario"))),
+    "corner": (load_model(data_text("corner.riskml")),
+               load_scenario(data_text("corner_cell.scenario"))),
+}
+
+
+def _binding(model):
+    return st.fixed_dictionaries({f.name: st.floats(f.lo, f.hi)
+                                  for f in model.features})
+
+
+@pytest.mark.parametrize("cell", sorted(_SHIPPED))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_every_trace_row_holds_the_protective_distance(cell, data):
+    model, scenario = _SHIPPED[cell]
+    bound = bind_assignment(scenario, model, data.draw(_binding(model)))
+    ctrl = bound.controller
+    trace = simulate(bound, data.draw(st.integers(0, 2**31 - 1)))
+    for step in trace.steps:
+        s_p, v_r = step[2], step[3]
+        assert s_p == protective_distance(
+            v_r, ctrl.reaction_time, ctrl.assumed_human_speed,
+            bound.arm.brake_decel, ctrl.min_clearance)
+
+
+# Frozen from a seeded sweep. Unlike the reference runs above, the sweep
+# reaches the per-ray occlusion tests: 26831 of them, 1009 against
+# conveyor objects, so a change in which rays count as blocked shows here.
+_SWEEP_SHA256 = \
+    "08d4f3c4dfa28294bd1bd4684b2e142cda05e524f959e4362f687e1f9d162f94"
+
+
+def test_a_random_binding_sweep_reproduces_its_digest():
+    digest = hashlib.sha256()
+    rng = random.Random(7)
+    for model, scenario in _SHIPPED.values():
+        for _ in range(40):
+            bound = bind_assignment(scenario, model, {
+                f.name: rng.uniform(f.lo, f.hi) for f in model.features})
+            trace = simulate(bound, rng.randrange(2**31))
+            digest.update(trace_to_csv(trace).encode())
+            digest.update(repr(trace.metrics).encode())
+    assert digest.hexdigest() == _SWEEP_SHA256
 
 
 # -- event evaluation ------------------------------------------------------
