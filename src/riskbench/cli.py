@@ -28,15 +28,15 @@ from .explain import (dataset_from_rows, estimate_event_likelihood,
                       extract_rules, generate_counterexamples, induce_tree,
                       rules_report, rules_to_json, tree_to_json)
 from .fileio import atomic_write_text, read_text, sha256_text, stable_json
-from .kvdoc import parse_bool, parse_float, parse_int, read_kv
+from .kvdoc import Field, read_kv
 from .riskml import (annotate_likelihoods, cases_to_json,
                      derive_assurance_cases, parse_risk_model,
                      serialize_model, validate)
-from .search import (ARCHIVE_FORMAT, SearchConfig, archive_header,
-                     archive_to_csv, make_feature_space, parse_archive_csv,
-                     run_campaign)
-from .sim import (LABEL_NON_COMPLIANCE, bind_assignment, evaluate_events,
-                  load_scenario, simulate, trace_to_csv)
+from .search import (ARCHIVE_FORMAT, SEARCH_FIELDS, SearchConfig,
+                     archive_header, archive_to_csv, make_feature_space,
+                     parse_archive_csv, run_campaign)
+from .sim import (LABEL_NON_COMPLIANCE, bind_assignment, check_bindings,
+                  evaluate_events, load_scenario, simulate, trace_to_csv)
 
 EXIT_INVALID = 1
 EXIT_CONFIG = 2
@@ -56,29 +56,31 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _load_model_file(path: str):
-    """Read, parse, and validate a model file; exits on any problem."""
+def _read(path) -> str:
     try:
-        text = read_text(path)
+        return read_text(str(path))
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
+
+
+def _load_model_file(path: str):
+    """Read, parse, and validate a model file; exits on any problem."""
+    text = _read(path)
     try:
         model = parse_risk_model(text)
     except RiskmlSyntaxError as exc:
         _fail(EXIT_INVALID, f"{path}: {exc}")
-    diagnostics = validate(model)
-    if diagnostics:
-        for diag in diagnostics:
-            click.echo(f"{path}: {diag}", err=True)
+    # Bindings are checked against the scenario only in a sound model.
+    problems = validate(model) or check_bindings(model)
+    if problems:
+        for problem in problems:
+            click.echo(f"{path}: {problem}", err=True)
         sys.exit(EXIT_INVALID)
     return model, text
 
 
 def _load_scenario_file(path: str):
-    try:
-        text = read_text(path)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    text = _read(path)
     try:
         return load_scenario(text, source=path), text
     except (ConfigError, DomainError) as exc:
@@ -123,30 +125,14 @@ def cmd_cases(model_path, out_path):
     click.echo(f"{len(cases)} assurance case(s) -> {out_path}")
 
 
-def _read_config(config_path: str) -> dict:
-    try:
-        text = read_text(config_path)
-        return read_kv(text, source=config_path)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-
-
-_SEARCH_KEYS = {
-    "algorithm": str,
-    "budget": parse_int,
-    "seed": parse_int,
-    "sigma": parse_float,
-    "t0": parse_float,
-    "alpha": parse_float,
-    "population": parse_int,
-    "crossover": parse_float,
-    "tournament": parse_int,
-    "stop_on_violation": parse_bool,
-}
-
-_CONFIG_KEYS = set(_SEARCH_KEYS) | {
-    "model", "scenario", "situation", "event", "sim_seed", "threshold", "out",
-}
+# The config's typed keys, and its paths and names. The search config's
+# own keys are checked when the search starts, after `run` has turned a
+# budget below 1 into exit 3.
+_THRESHOLD = Field("threshold", float, lo=0.0, hi=1.0)
+_CONFIG_FIELDS = {**SEARCH_FIELDS, "threshold": _THRESHOLD,
+                  "sim_seed": Field("sim_seed", int)}
+_CONFIG_KEYS = set(_CONFIG_FIELDS) | {"model", "scenario", "situation",
+                                      "event", "out"}
 
 
 def _usable_cpus() -> int:
@@ -156,8 +142,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _campaign_from_config(raw: dict, config_dir: Path, overrides: dict):
-    """Resolve a campaign config document into loaded, validated inputs."""
+def _campaign_from_config(config_path: str, overrides: dict):
+    """Resolve a campaign config file into loaded, validated inputs."""
+    try:
+        raw = read_kv(_read(config_path), source=config_path)
+    except ConfigError as exc:
+        _fail(EXIT_CONFIG, str(exc))
+    config_dir = Path(config_path).resolve().parent
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         _fail(EXIT_CONFIG,
@@ -194,40 +185,25 @@ def _campaign_from_config(raw: dict, config_dir: Path, overrides: dict):
                                f"exposes {len(situation.exposes)}")
         event_name = situation.exposes[0]
 
-    kwargs = {}
-    for key, coerce in _SEARCH_KEYS.items():
-        if key in raw:
-            try:
-                kwargs[key] = coerce(key, raw[key]) if coerce is not str \
-                    else raw[key]
-            except ConfigError as exc:
-                _fail(EXIT_CONFIG, str(exc))
-    if "budget" in overrides and overrides["budget"] is not None:
-        kwargs["budget"] = overrides["budget"]
-    if "seed" in overrides and overrides["seed"] is not None:
-        kwargs["seed"] = overrides["seed"]
-    config = SearchConfig(**kwargs)
-
     try:
-        sim_seed = parse_int("sim_seed", raw["sim_seed"]) \
-            if "sim_seed" in raw else DEFAULT_SIM_SEED
-        threshold = parse_float("threshold", raw["threshold"]) \
-            if "threshold" in raw else DEFAULT_THRESHOLD
-    except ConfigError as exc:
+        values = {key: f.parse(raw[key])
+                  for key, f in _CONFIG_FIELDS.items() if key in raw}
+        threshold = values.pop("threshold", DEFAULT_THRESHOLD)
+        sim_seed = values.pop("sim_seed", DEFAULT_SIM_SEED)
+        _THRESHOLD.check(threshold)
+    except (ConfigError, DomainError) as exc:
         _fail(EXIT_CONFIG, str(exc))
-    if not math.isfinite(threshold):
-        # campaign.json would carry it as NaN or Infinity, which is not JSON.
-        _fail(EXIT_CONFIG, f"threshold must be finite, got {threshold}")
+    values.update((key, overrides[key]) for key in ("budget", "seed")
+                  if overrides.get(key) is not None)
+    config = SearchConfig(**values)
 
     out_dir = overrides.get("out") or raw.get("out") or "campaign_out"
 
     return {
         "model": model,
         "model_text": model_text,
-        "model_path": model_path,
         "scenario": scenario,
         "scenario_text": scenario_text,
-        "scenario_path": scenario_path,
         "situation": situation_name,
         "event": event_name,
         "search": config,
@@ -248,10 +224,8 @@ def _campaign_from_config(raw: dict, config_dir: Path, overrides: dict):
               help="Evaluation budget (overrides config).")
 def cmd_run(config_path, out_dir, seed, budget):
     """Run a falsification campaign and persist its archive."""
-    raw = _read_config(config_path)
-    setup = _campaign_from_config(raw, Path(config_path).resolve().parent,
-                                  {"out": out_dir, "seed": seed,
-                                   "budget": budget})
+    setup = _campaign_from_config(config_path, {"out": out_dir, "seed": seed,
+                                                "budget": budget})
     config = setup["search"]
     if config.budget < 1:
         _fail(EXIT_EMPTY, "campaign performed no evaluations (budget "
@@ -297,8 +271,9 @@ def cmd_run(config_path, out_dir, seed, budget):
     click.echo(f"archive -> {out / 'archive.csv'}")
 
 
-def _check_header(header, header_file: Path) -> None:
-    """Exit 2 unless the campaign header holds what explain reads."""
+def _check_header(header, header_file: Path):
+    """The campaign's search config and threshold, each checked as `run`
+    checks it; exit 2 unless the header holds what explain reads."""
     def bad(problem):
         _fail(EXIT_CONFIG, f"{header_file}: {problem}")
 
@@ -306,26 +281,20 @@ def _check_header(header, header_file: Path) -> None:
         bad("expected a JSON object")
     if header.get("format") != ARCHIVE_FORMAT:
         bad(f"unrecognized archive format {header.get('format')!r}")
-    config = header.get("config")
-    if not isinstance(config, dict):
+    doc = header.get("config")
+    if not isinstance(doc, dict):
         bad("missing the 'config' object")
-    seed = config.get("seed")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        bad(f"config.seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(config.get("algorithm"), str):
-        bad(f"config.algorithm must be a string, got "
-            f"{config.get('algorithm')!r}")
-    if "threshold" in header:
-        value = header["threshold"]
-        try:
-            # A JSON integer too large for a float overflows in float().
-            finite = not isinstance(value, bool) \
-                and isinstance(value, (int, float)) \
-                and math.isfinite(float(value))
-        except OverflowError:
-            finite = False
-        if not finite:
-            bad(f"threshold must be a finite number, got {value!r}")
+    odd = sorted(doc.keys() ^ SEARCH_FIELDS.keys())
+    if odd:
+        bad(f"config keys missing or unknown: {', '.join(odd)}")
+    try:
+        config = SearchConfig(**{key: f.coerce(doc[key])
+                                 for key, f in SEARCH_FIELDS.items()})
+        threshold = _THRESHOLD.coerce(
+            header.get("threshold", DEFAULT_THRESHOLD))
+    except DomainError as exc:
+        bad(str(exc))
+    return config, threshold
 
 
 @main.command("explain")
@@ -340,14 +309,12 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
     """Explain ARCHIVE_PATH: tree, rules, counterexamples, likelihoods."""
     archive_file = Path(archive_path)
     header_file = archive_file.parent / "campaign.json"
+    archive_text = _read(archive_file)
     try:
-        archive_text = read_text(str(archive_file))
-        header = json.loads(read_text(str(header_file)))
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+        header = json.loads(_read(header_file))
     except ValueError as exc:
         _fail(EXIT_CONFIG, f"{header_file}: not valid JSON: {exc}")
-    _check_header(header, header_file)
+    config, header_threshold = _check_header(header, header_file)
     if threshold is not None and not math.isfinite(threshold):
         _fail(EXIT_CONFIG, f"--threshold must be finite, got {threshold}")
 
@@ -360,7 +327,7 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
     situation_name = header.get("situation")
     event_name = header.get("event")
     if threshold is None:
-        threshold = float(header.get("threshold", DEFAULT_THRESHOLD))
+        threshold = header_threshold
 
     try:
         situation = model.situation(situation_name)
@@ -371,7 +338,7 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
         rules = extract_rules(tree, threshold)
         augmentation = [
             generate_counterexamples(rule, space, AUGMENTATION_PER_RULE,
-                                     seed=header["config"]["seed"])
+                                     seed=config.seed)
             for rule in rules
         ]
     except _DOMAIN_ERRORS as exc:
@@ -397,7 +364,7 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
         "scenario_digest": header.get("scenario_digest"),
         "situation": situation_name,
         "event": event_name,
-        "algorithm": header["config"]["algorithm"],
+        "algorithm": config.algorithm,
         "threshold": threshold,
         "evaluations": len(rows),
         "violations": sum(1 for r in rows if r[3] == LABEL_NON_COMPLIANCE),
@@ -411,7 +378,7 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
 
     _write(out / "tree.json", stable_json(tree_to_json(tree)))
     _write(out / "rules.txt",
-           rules_report(rules, algorithm=header["config"]["algorithm"]))
+           rules_report(rules, algorithm=config.algorithm))
     _write(out / "rules.json", stable_json(rules_to_json(rules)))
     _write(out / "augmentation.json", stable_json({
         "per_rule": [
@@ -443,9 +410,7 @@ def cmd_replay(assignment_path, model_path, scenario_path, seed, out_dir):
     model, _ = _load_model_file(model_path)
     scenario, _ = _load_scenario_file(scenario_path)
     try:
-        assignment = json.loads(read_text(assignment_path))
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+        assignment = json.loads(_read(assignment_path))
     except ValueError as exc:
         _fail(EXIT_CONFIG, f"{assignment_path}: not valid JSON: {exc}")
     if not isinstance(assignment, dict):

@@ -58,12 +58,12 @@ class DomainFeature:
     def contains(self, value) -> bool:
         if self.kind == CATEGORICAL:
             return value in self.values
-        if self.kind == INTEGER:
-            return (isinstance(value, int) or float(value).is_integer()) \
-                and self.lo <= value <= self.hi
         try:
             v = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
+            return False
+        if self.kind == INTEGER and not (isinstance(value, int)
+                                         or v.is_integer()):
             return False
         return self.lo <= v <= self.hi
 

@@ -19,7 +19,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DomainError
+from ..kvdoc import field_table
 from .space import FeatureSpace, decode
 
 ALGORITHMS = ("random", "hill_climb", "simulated_annealing", "genetic")
@@ -51,26 +52,28 @@ class SearchConfig:
     stop_on_violation: bool = False
 
 
+# Every number must be finite; these are the further bounds.
+_DOMAINS = {
+    "algorithm": {"choices": ALGORITHMS},
+    "budget": {"lo": 1},
+    "seed": {"lo": 0},
+    **dict.fromkeys(("sigma", "t0"), {"lo": 0.0, "lo_open": True}),
+    "alpha": {"lo": 0.0, "hi": 1.0, "lo_open": True, "hi_open": True},
+    "population": {"lo": 2},
+    "crossover": {"lo": 0.0, "hi": 1.0},
+    "tournament": {"lo": 1},
+}
+
+SEARCH_FIELDS = field_table(SearchConfig(), _DOMAINS)
+
+
 def validate_search_config(config: SearchConfig) -> None:
-    if config.algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {config.algorithm!r}; "
-                          f"expected one of {', '.join(ALGORITHMS)}")
-    if config.budget < 1:
-        raise ConfigError(f"budget must be >= 1, got {config.budget}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {config.seed}")
-    if config.sigma <= 0.0:
-        raise ConfigError(f"sigma must be positive, got {config.sigma}")
-    if config.t0 <= 0.0:
-        raise ConfigError(f"t0 must be positive, got {config.t0}")
-    if not (0.0 < config.alpha < 1.0):
-        raise ConfigError(f"alpha must be in (0, 1), got {config.alpha}")
-    if config.population < 2:
-        raise ConfigError(f"population must be >= 2, got {config.population}")
-    if not (0.0 <= config.crossover <= 1.0):
-        raise ConfigError(f"crossover rate must be in [0, 1], got {config.crossover}")
-    if config.tournament < 1:
-        raise ConfigError(f"tournament size must be >= 1, got {config.tournament}")
+    """Raise ConfigError on the first field outside its domain."""
+    try:
+        for f in SEARCH_FIELDS.values():
+            f.check(f.get(config))
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)

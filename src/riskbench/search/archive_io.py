@@ -8,6 +8,7 @@ mismatched inputs are detectable instead of silently wrong.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 from ..errors import ArchiveMismatchError, ConfigError
 from ..riskml.model import CATEGORICAL, INTEGER
@@ -63,18 +64,7 @@ def archive_header(space: FeatureSpace, config: SearchConfig,
         "situation": situation,
         "event": event,
         "space": dims,
-        "config": {
-            "algorithm": config.algorithm,
-            "budget": config.budget,
-            "seed": config.seed,
-            "sigma": config.sigma,
-            "t0": config.t0,
-            "alpha": config.alpha,
-            "population": config.population,
-            "crossover": config.crossover,
-            "tournament": config.tournament,
-            "stop_on_violation": config.stop_on_violation,
-        },
+        "config": asdict(config),
         "sim_seeds": list(sim_seeds),
         "model_digest": model_digest,
         "scenario_digest": scenario_digest,

@@ -8,8 +8,8 @@ from .events import (LABEL_COMPLIANCE, LABEL_NON_COMPLIANCE, EventOutcome,
 from .perception import (detection_probability, illuminance_gate,
                          in_field_of_view, occlusion_fraction)
 from .scenario import (MODE_MONITORED_STOP, MODE_SSM, Scenario,
-                       bind_assignment, dump_scenario, load_scenario,
-                       scenario_with, validate_scenario)
+                       bind_assignment, check_bindings, dump_scenario,
+                       load_scenario, scenario_with, validate_scenario)
 
 __all__ = [
     "CONTACT_EPSILON", "TRACE_COLUMNS", "Trace", "TraceMetrics",
@@ -19,5 +19,6 @@ __all__ = [
     "detection_probability", "illuminance_gate", "in_field_of_view",
     "occlusion_fraction",
     "MODE_MONITORED_STOP", "MODE_SSM", "Scenario", "bind_assignment",
-    "dump_scenario", "load_scenario", "scenario_with", "validate_scenario",
+    "check_bindings", "dump_scenario", "load_scenario", "scenario_with",
+    "validate_scenario",
 ]

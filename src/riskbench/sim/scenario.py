@@ -8,12 +8,11 @@ bindings address fields through the same dotted paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
-from operator import attrgetter
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field, replace
 
 from ..errors import BindingError, ConfigError, DomainError
-from ..kvdoc import parse_bool, parse_float, parse_int, parse_point, read_kv, write_kv
+from ..kvdoc import _TYPES, Field, field_table, read_kv, write_kv
+from ..riskml.model import CATEGORICAL, CONTINUOUS, INTEGER
 
 MODE_SSM = "ssm"
 MODE_MONITORED_STOP = "monitored_stop"
@@ -123,86 +122,7 @@ _DOMAINS = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioField:
-    """A scenario field's dotted path, the type of its default, its domain.
-
-    Numbers and point coordinates must be finite and in [lo, hi], or in
-    (lo, hi] when `lo_open`; a string must be one of `choices`.
-    """
-
-    path: str
-    type: type
-    get: Callable = field(repr=False, compare=False)  # scenario -> value
-    lo: float = -math.inf
-    hi: float = math.inf
-    lo_open: bool = False
-    choices: tuple[str, ...] = ()
-
-    def check(self, value) -> None:
-        """Raise DomainError unless `value` lies in this field's domain."""
-        if self.choices:
-            if value not in self.choices:
-                raise DomainError(f"unknown {self.path} {value!r}")
-            return
-        for v in value if self.type is tuple else (value,):
-            if not math.isfinite(v):
-                raise DomainError(f"{self.path} must be finite, got {value!r}")
-            if not ((self.lo < v if self.lo_open else self.lo <= v)
-                    and v <= self.hi):
-                left = "(" if self.lo_open else "["
-                right = "]" if self.hi < math.inf else ")"
-                raise DomainError(f"{self.path} outside {left}{self.lo:g}, "
-                                  f"{self.hi:g}{right}: {value!r}")
-
-
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _point(value):
-    try:
-        x, y = value
-        return (float(x), float(y))
-    except (TypeError, ValueError):
-        return None
-
-
-class _Type(NamedTuple):
-    noun: str
-    text: Callable    # value -> file text
-    parse: Callable   # (key, file text) -> value, or ConfigError
-    coerce: Callable  # binding value -> value, or None when it does not fit
-
-
-_TYPES = {
-    float: _Type("a number", repr, parse_float,
-                 lambda v: float(v) if _number(v) else None),
-    int: _Type("an integer", str, parse_int,
-               lambda v: int(v) if _number(v) and (
-                   isinstance(v, int) or v.is_integer()) else None),
-    bool: _Type("a boolean", lambda v: "true" if v else "false", parse_bool,
-                lambda v: v if isinstance(v, bool) else None),
-    str: _Type("a string", str, lambda key, raw: raw,
-               lambda v: v if isinstance(v, str) else None),
-    tuple: _Type("a point", lambda p: f"{p[0]!r}, {p[1]!r}", parse_point,
-                 _point),
-}
-
-
-def _leaves(obj, prefix=""):
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            yield from _leaves(value, f"{f.name}.")
-        else:
-            yield prefix + f.name, value
-
-
-SCENARIO_FIELDS = {
-    path: ScenarioField(path, type(default), attrgetter(path),
-                        **_DOMAINS.get(path, {}))
-    for path, default in _leaves(Scenario())}
+SCENARIO_FIELDS = field_table(Scenario(), _DOMAINS)
 
 
 def validate_scenario(scenario: Scenario) -> None:
@@ -219,7 +139,7 @@ def validate_scenario(scenario: Scenario) -> None:
             f"need e_min < e_sat, got {s.perception.e_min}, {s.perception.e_sat}")
 
 
-def _field(path: str) -> ScenarioField:
+def _field(path: str) -> Field:
     try:
         return SCENARIO_FIELDS[path]
     except KeyError:
@@ -244,6 +164,28 @@ def scenario_with(scenario: Scenario, path: str, value) -> Scenario:
     if coerced is None:
         raise BindingError(f"{path}: expected {kind.noun}, got {value!r}")
     return _replaced(scenario, path, coerced)
+
+
+# The field types that can hold every value of a feature of each kind.
+_FITS = {CONTINUOUS: (float,), INTEGER: (float, int), CATEGORICAL: (str,)}
+
+
+def check_bindings(model) -> list[str]:
+    """A line per feature that binds no field, a field its values do not
+    fit, or a field whose domain leaves out an end or category."""
+    problems = []
+    for feature in model.features:
+        try:
+            f = _field(feature.binding)
+            if f.type not in _FITS.get(feature.kind, ()):
+                raise BindingError(f"{f.path} holds {_TYPES[f.type].noun}, "
+                                   f"not {feature.kind} values")
+            for value in (feature.values if feature.kind == CATEGORICAL
+                          else (feature.lo, feature.hi)):
+                f.check(value)
+        except (BindingError, DomainError) as exc:
+            problems.append(f"feature '{feature.name}': {exc}")
+    return problems
 
 
 def bind_assignment(scenario: Scenario, model, assignment: dict) -> Scenario:
@@ -276,7 +218,7 @@ def load_scenario(text: str, source: str = "<string>") -> Scenario:
         f = SCENARIO_FIELDS.get(key)
         if f is None:
             raise ConfigError(f"{source}: no scenario field at path {key!r}")
-        scenario = _replaced(scenario, key, _TYPES[f.type].parse(key, raw))
+        scenario = _replaced(scenario, key, f.parse(raw))
     validate_scenario(scenario)
     return scenario
 

@@ -1,5 +1,6 @@
 """Shared fixtures: packaged inputs and a subprocess harness for the CLI."""
 
+import math
 import os
 import re
 import subprocess
@@ -51,6 +52,25 @@ def run_cli(*args, cwd=None, pythonpath=()):
         pytest.fail("the CLI subprocess could not import riskbench:\n"
                     + result.stderr, pytrace=False)
     return result
+
+
+def just_outside(field):
+    """Values just outside a field table entry's domain: past each finite
+    bound, or on it where the bound is open."""
+    if field.choices:
+        return [field.choices[0].upper()]
+    if field.type is int:
+        def past(bound, step):
+            return int(bound) + step
+    else:
+        def past(bound, step):
+            return math.nextafter(bound, step * math.inf)
+    values = []
+    if field.lo > -math.inf:
+        values.append(field.lo if field.lo_open else past(field.lo, -1))
+    if field.hi < math.inf:
+        values.append(field.hi if field.hi_open else past(field.hi, 1))
+    return values
 
 
 @pytest.fixture(scope="session")

@@ -7,13 +7,18 @@ import subprocess
 import sys
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from riskbench.cli import main
 from riskbench.datafiles import data_path
 from riskbench.fileio import read_text
 from riskbench.search import (SearchConfig, archive_to_csv,
                               make_feature_space, run_campaign)
+from riskbench.sim.scenario import SCENARIO_FIELDS
 
-from conftest import _PACKAGE_ROOT, run_cli
+from conftest import _PACKAGE_ROOT, just_outside, run_cli
 
 MODEL = data_path("corner.riskml")
 SCENARIO = data_path("corner_cell.scenario")
@@ -83,6 +88,65 @@ def test_validate_rejects_non_finite_model_numbers(tmp_path, old, new):
     result = run_cli("validate", "--model", bad)
     assert result.returncode == 1
     assert "non-finite" in result.stderr
+
+
+_ILLUMINANCE = ("feature illuminance continuous [50, 1000] lux "
+                "binds environment.illuminance")
+
+
+# The field types a feature of each kind may bind, and a domain of that kind.
+_KINDS = {"continuous": ((float,), "[0.25, 0.75] u"),
+          "integer": ((float, int), "[1, 2] u"),
+          "categorical": ((str,), "{ssm, monitored_stop}")}
+
+
+def _interval(kind, lo, hi):
+    return (kind, f"[{lo!r}, {hi!r}] u")
+
+
+def _reaching_outside(field):
+    """Feature domains of a kind that fits `field`, each with one end or
+    category just outside the field's domain."""
+    if field.choices:
+        return [("categorical", "{%s, %s}" % (field.choices[0], outside))
+                for outside in just_outside(field)]
+    kind = "integer" if field.type is int else "continuous"
+    return [_interval(kind, value, value + 1) if value <= field.lo
+            else _interval(kind, value - 1, value)
+            for value in just_outside(field)]
+
+
+# (kind, domain, path) of a binding that names no field, a field of a type
+# the kind does not fit, or a field whose domain leaves out part of the
+# feature's.
+_MISMATCHES = st.one_of(
+    st.sampled_from([("continuous", "[0.25, 0.75] u", path + "_x")
+                     for path in SCENARIO_FIELDS]),
+    st.sampled_from([(kind, domain, f.path)
+                     for kind, (types, domain) in _KINDS.items()
+                     for f in SCENARIO_FIELDS.values()
+                     if f.type not in types]),
+    st.sampled_from([(kind, domain, f.path)
+                     for f in SCENARIO_FIELDS.values()
+                     if f.type in (float, int, str)
+                     for kind, domain in _reaching_outside(f)]))
+
+
+@settings(max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_MISMATCHES)
+@example(("continuous", "[50, 1000] lux", "camera.yawn"))
+@example(("integer", "[0, 500] count", "belt.object_count"))
+@example(("continuous", "[0, 2] ratio", "environment.contrast"))
+def test_validate_rejects_any_binding_mismatch(tmp_path, mismatch):
+    kind, domain, path = mismatch
+    bad = tmp_path / "bad.riskml"
+    bad.write_text(_corner_with(
+        _ILLUMINANCE, f"feature illuminance {kind} {domain} binds {path}"))
+    result = CliRunner().invoke(main, ["validate", "--model", str(bad)])
+    assert result.exit_code == 1, result.output
+    assert "feature 'illuminance': " in result.output
+    assert path in result.output
 
 
 def test_validate_missing_file_is_an_io_error():
@@ -185,11 +249,20 @@ def test_run_missing_config_file(tmp_path):
     assert result.returncode == 2
 
 
+_ANNEALING = {"algorithm": "simulated_annealing", "budget": 20}
+
+
 @pytest.mark.parametrize("settings,flags,message", [
-    ({}, ["--seed", "-1"], "seed must be >= 0"),
+    ({}, ["--seed", "-1"], "seed outside [0, inf)"),
     ({"threshold": "nan"}, [], "threshold must be finite"),
     ({"threshold": "inf"}, [], "threshold must be finite"),
-], ids=["seed-negative", "threshold-nan", "threshold-inf"])
+    ({**_ANNEALING, "sigma": "inf"}, [], "sigma must be finite"),
+    ({**_ANNEALING, "sigma": "nan"}, [], "sigma must be finite"),
+    ({**_ANNEALING, "t0": "inf"}, [], "t0 must be finite"),
+    ({**_ANNEALING, "t0": "nan"}, [], "t0 must be finite"),
+    ({"threshold": "1.5"}, [], "threshold outside [0, 1]"),
+], ids=["seed-negative", "threshold-nan", "threshold-inf", "sigma-inf",
+        "sigma-nan", "t0-inf", "t0-nan", "threshold-above-one"])
 def test_run_rejects_a_bad_config_value(tmp_path, settings, flags, message):
     write_config(tmp_path / "c.config", **settings)
     result = run_cli("run", "--config", "c.config", *flags, cwd=tmp_path)
@@ -293,9 +366,13 @@ def test_explain_needs_the_campaign_header(campaign, tmp_path):
     lambda header: header.update(threshold="high"),
     lambda header: header.update(threshold=float("nan")),
     lambda header: header.update(threshold=10 ** 400),
+    lambda header: header["config"].update(sigma=float("nan")),
+    lambda header: header["config"].update(warp=9),
+    lambda header: header["config"].pop("sigma"),
 ], ids=["no-config", "config-list", "no-seed", "seed-string", "seed-float",
         "seed-negative", "algorithm-null", "threshold-string",
-        "threshold-nan", "threshold-huge"])
+        "threshold-nan", "threshold-huge", "sigma-nan", "unknown-key",
+        "no-sigma"])
 def test_explain_rejects_a_bad_campaign_header(campaign, edit):
     out = campaign / "camp"
     header = json.loads((out / "campaign.json").read_text())
@@ -427,11 +504,15 @@ def test_replay_reproduces_an_archive_row(campaign):
 
 
 def test_replay_rejects_out_of_domain_points(campaign):
-    (campaign / "far.json").write_text(json.dumps({"illuminance": 1e6}))
-    result = run_cli("replay", "far.json", "--model", MODEL,
-                     "--scenario", SCENARIO, cwd=campaign)
-    assert result.returncode == 1
-    assert "outside" in result.stderr
+    # The second point's value is an integer too large for a float.
+    for text in (json.dumps({"illuminance": 1e6}),
+                 '{"illuminance": 1' + "0" * 400 + "}"):
+        (campaign / "far.json").write_text(text)
+        result = run_cli("replay", "far.json", "--model", MODEL,
+                         "--scenario", SCENARIO, cwd=campaign)
+        assert result.returncode == 1
+        assert "outside" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def test_replay_requires_a_json_object(campaign):
@@ -456,6 +537,9 @@ _POINT = {"illuminance": 400.0, "belt_speed": 0.3, "operator_speed": 1.0}
     "duration = 1e7",
     "arm.link1 = 1e308",
     "belt.object_count = 1000000000000",
+    # An integer too large for a float.
+    pytest.param("belt.object_count = 1" + "0" * 400,
+                 id="belt.object_count = 1e400 as an integer"),
 ])
 def test_replay_rejects_a_scenario_it_cannot_simulate(tmp_path, line):
     (tmp_path / "bad.scenario").write_text(line + "\n")

@@ -7,8 +7,9 @@ import pytest
 from riskbench.errors import (ModelInvalidError, RiskmlSyntaxError,
                               UnknownNameError)
 from riskbench.riskml import (CATEGORICAL, CONTINUOUS, INTEGER, NEGATIVE,
-                              POSITIVE, Likelihood, annotate_likelihoods,
-                              cases_to_json, derive_assurance_cases,
+                              POSITIVE, DomainFeature, Likelihood,
+                              annotate_likelihoods, cases_to_json,
+                              derive_assurance_cases,
                               load_model, parse_risk_model, serialize_model,
                               validate)
 
@@ -106,6 +107,14 @@ def test_interval_needs_two_numbers():
 
 def _diagnostics(text):
     return validate(parse_risk_model(text))
+
+
+@pytest.mark.parametrize("value", ["x", None, [1], 10**400, float("nan")],
+                         ids=["string", "null", "list", "huge-int", "nan"])
+@pytest.mark.parametrize("kind", [CONTINUOUS, INTEGER])
+def test_an_interval_feature_holds_no_non_number(kind, value):
+    # None of these may raise: a replay point reaches this check as JSON.
+    assert not DomainFeature("f", kind, lo=0, hi=5).contains(value)
 
 
 def test_duplicate_names_flagged():

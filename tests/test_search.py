@@ -13,14 +13,16 @@ from hypothesis import strategies as st
 from riskbench.datafiles import data_text
 from riskbench.errors import ConfigError, DomainError, UnknownNameError
 from riskbench.riskml import DomainFeature, load_model
-from riskbench.search import (ALGORITHMS, ARCHIVE_FORMAT, FeatureSpace,
-                              SearchConfig,
+from riskbench.search import (ALGORITHMS, ARCHIVE_FORMAT, SEARCH_FIELDS,
+                              FeatureSpace, SearchConfig,
                               archive_header, archive_to_csv,
                               campaign_evaluator, decode, encode,
                               make_feature_space, parse_archive_csv,
                               run_campaign, run_search,
                               validate_search_config)
 from riskbench.search import algorithms
+
+from conftest import just_outside
 
 SPACE = FeatureSpace(dims=(
     DomainFeature(name="x", kind="continuous", lo=0.0, hi=10.0),
@@ -92,7 +94,7 @@ def test_make_feature_space_follows_declaration_order(default_model):
 # -- config ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("field,value,fragment", [
+_BAD_CONFIG_VALUES = [
     ("algorithm", "gradient", "unknown algorithm"),
     ("budget", 0, "budget"),
     ("seed", -1, "seed"),
@@ -102,7 +104,25 @@ def test_make_feature_space_follows_declaration_order(default_model):
     ("population", 1, "population"),
     ("crossover", 1.5, "crossover"),
     ("tournament", 0, "tournament"),
-])
+]
+# Every numeric field, non-finite and just outside its domain; a case
+# listed above keeps its place and its name.
+_BAD_CONFIG_VALUES += [
+    (f.path, value, f.path) for f in SEARCH_FIELDS.values()
+    if f.type in (int, float)
+    for value in [math.nan, math.inf, -math.inf, *just_outside(f)]
+    if (f.path, repr(value)) not in {(k, repr(v))
+                                     for k, v, _ in _BAD_CONFIG_VALUES}]
+
+
+def test_the_search_field_table_is_complete():
+    # A misspelt domain key would leave its field merely finite.
+    assert set(algorithms._DOMAINS) <= set(SEARCH_FIELDS)
+    assert all(just_outside(f) for f in SEARCH_FIELDS.values()
+               if f.type is not bool)
+
+
+@pytest.mark.parametrize("field,value,fragment", _BAD_CONFIG_VALUES)
 def test_config_validation(field, value, fragment):
     config = SearchConfig(**{field: value})
     with pytest.raises(ConfigError, match=fragment):
@@ -231,6 +251,16 @@ def test_archive_header_records_the_recipe(small_campaign):
     assert header["sim_seeds"] == [11]
     assert [d["name"] for d in header["space"]] == list(space.names())
     assert header["evaluations"] == 12
+
+
+def test_the_header_holds_the_search_config_field_for_field(small_campaign):
+    archive, space, config = small_campaign
+    header = archive_header(space, config, (11,), "low_light_rush",
+                            "insufficient_distance", "sha-m", "sha-s",
+                            len(archive.points))
+    assert list(header["config"]) == list(SEARCH_FIELDS)
+    assert SearchConfig(**{key: f.coerce(header["config"][key])
+                           for key, f in SEARCH_FIELDS.items()}) == config
 
 
 def test_parse_archive_rejects_foreign_columns(small_campaign):

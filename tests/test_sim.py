@@ -25,6 +25,8 @@ from riskbench.sim.perception import (detection_probability, hand_detected,
                                       occlusion_fraction)
 from riskbench.sim.scenario import _DOMAINS, _TYPES, SCENARIO_FIELDS
 
+from conftest import just_outside
+
 
 def _cell(belt=0.1, lux=5000.0, intrusion=0.4, **extra):
     sc = Scenario()
@@ -175,23 +177,8 @@ def test_a_non_finite_scenario_value_is_rejected(field, word):
             load_scenario(f"{field.path} = {text}\n")
 
 
-def _just_outside(field):
-    if field.choices:
-        return [field.choices[0].upper()]
-    if field.type is int:
-        return [int(field.lo) - 1] + (
-            [int(field.hi) + 1] if field.hi < math.inf else [])
-    values = []
-    if field.lo > -math.inf:
-        values.append(field.lo if field.lo_open
-                      else math.nextafter(field.lo, -math.inf))
-    if field.hi < math.inf:
-        values.append(math.nextafter(field.hi, math.inf))
-    return values
-
-
 _OUTSIDE = [(f.path, value) for f in SCENARIO_FIELDS.values()
-            for value in _just_outside(f)]
+            for value in just_outside(f)]
 
 
 @pytest.mark.parametrize("path,value", _OUTSIDE,
