@@ -133,6 +133,8 @@ _CONFIG_FIELDS = {**SEARCH_FIELDS, "threshold": _THRESHOLD,
                   "sim_seed": Field("sim_seed", int)}
 _CONFIG_KEYS = set(_CONFIG_FIELDS) | {"model", "scenario", "situation",
                                       "event", "out"}
+# The names a campaign.json header carries besides its config.
+_HEADER_NAMES = (Field("situation", str), Field("event", str))
 
 
 def _usable_cpus() -> int:
@@ -263,7 +265,7 @@ def cmd_run(config_path, out_dir, seed, budget):
     ]
 
     out = setup["out"]
-    _write(out / "archive.csv", archive_to_csv(archive, space, setup["event"]))
+    _write(out / "archive.csv", archive_to_csv(archive, space))
     _write(out / "campaign.json", stable_json(header))
     _write(out / "summary.txt", "\n".join(summary_lines) + "\n")
     for line in summary_lines:
@@ -272,8 +274,9 @@ def cmd_run(config_path, out_dir, seed, budget):
 
 
 def _check_header(header, header_file: Path):
-    """The campaign's search config and threshold, each checked as `run`
-    checks it; exit 2 unless the header holds what explain reads."""
+    """The campaign's search config, threshold, situation and event, each
+    checked as `run` checks it; exit 2 unless the header holds what explain
+    reads."""
     def bad(problem):
         _fail(EXIT_CONFIG, f"{header_file}: {problem}")
 
@@ -292,9 +295,10 @@ def _check_header(header, header_file: Path):
                                  for key, f in SEARCH_FIELDS.items()})
         threshold = _THRESHOLD.coerce(
             header.get("threshold", DEFAULT_THRESHOLD))
+        situation, event = (f.coerce(header.get(f.path)) for f in _HEADER_NAMES)
     except DomainError as exc:
         bad(str(exc))
-    return config, threshold
+    return config, threshold, situation, event
 
 
 @main.command("explain")
@@ -307,6 +311,11 @@ def _check_header(header, header_file: Path):
               help="Output directory (default: the archive's directory).")
 def cmd_explain(archive_path, model_path, threshold, out_dir):
     """Explain ARCHIVE_PATH: tree, rules, counterexamples, likelihoods."""
+    if threshold is not None:
+        try:
+            _THRESHOLD.check(threshold)
+        except DomainError as exc:
+            _fail(EXIT_CONFIG, f"--{exc}")
     archive_file = Path(archive_path)
     header_file = archive_file.parent / "campaign.json"
     archive_text = _read(archive_file)
@@ -314,9 +323,8 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
         header = json.loads(_read(header_file))
     except ValueError as exc:
         _fail(EXIT_CONFIG, f"{header_file}: not valid JSON: {exc}")
-    config, header_threshold = _check_header(header, header_file)
-    if threshold is not None and not math.isfinite(threshold):
-        _fail(EXIT_CONFIG, f"--threshold must be finite, got {threshold}")
+    config, header_threshold, situation_name, event_name = \
+        _check_header(header, header_file)
 
     model, model_text = _load_model_file(model_path)
     if sha256_text(model_text) != header.get("model_digest"):
@@ -324,13 +332,15 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
               "model digest mismatch: the archive was produced from a "
               "different model than " + str(model_path))
 
-    situation_name = header.get("situation")
-    event_name = header.get("event")
     if threshold is None:
         threshold = header_threshold
 
     try:
         situation = model.situation(situation_name)
+        if event_name not in situation.exposes:
+            raise UnknownNameError(
+                f"event {event_name!r} is not exposed by situation "
+                f"{situation_name!r}")
         space = make_feature_space(model, situation_name)
         rows = parse_archive_csv(archive_text, space)
         dataset = dataset_from_rows(space, rows)

@@ -50,7 +50,7 @@ def write_kv(entries: dict[str, str]) -> str:
 class Field:
     """A field's dotted path, the type of its default, its domain: numbers
     and point coordinates must be finite and in [lo, hi], less a bound that
-    is open; a string must be one of `choices`."""
+    is open; a string must be one of `choices`, if it has any."""
 
     path: str
     type: type
@@ -63,8 +63,8 @@ class Field:
 
     def check(self, value) -> None:
         """Raise DomainError unless `value` lies in this field's domain."""
-        if self.choices:
-            if value not in self.choices:
+        if self.type is str:
+            if self.choices and value not in self.choices:
                 raise DomainError(f"unknown {self.path} {value!r}")
             return
         for v in value if self.type is tuple else (value,):

@@ -1,8 +1,9 @@
 """Names of the per-run metrics the simulator publishes.
 
-Event conditions in risk models may only reference these metrics; the
-validator and the simulator both import this tuple so the two sides cannot
-drift apart.
+Event conditions in risk models may only reference these metrics. The
+validator checks conditions and indicators against this tuple, and the
+simulator's `TraceMetrics.as_dict` publishes exactly these names, so the two
+sides cannot drift apart.
 """
 
 from __future__ import annotations

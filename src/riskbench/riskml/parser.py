@@ -22,6 +22,7 @@ parses cleanly can still carry semantic diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..errors import RiskmlSyntaxError
 from .model import (CATEGORICAL, CONTINUOUS, INTEGER, NEGATIVE, POSITIVE,
@@ -36,6 +37,7 @@ KEYWORDS = frozenset((
 ))
 
 _PUNCT = "[]{},:<>+-"
+_DECLARATIONS = ("actor", "goal", "feature", "event", "situation")
 
 
 @dataclass(frozen=True)
@@ -137,94 +139,69 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def error(self, message: str, tok: _Token | None = None, expected: tuple[str, ...] = ()):
         tok = tok or self.peek()
         raise RiskmlSyntaxError(message, tok.line, tok.column, expected)
 
-    def expect_keyword(self, *words: str) -> _Token:
+    def expect(self, type: str, *values: str, expected: tuple[str, ...] = ()) -> _Token:
+        """Consume a token of `type` (and one of `values`, if given)."""
         tok = self.peek()
-        if tok.type == "KEYWORD" and tok.value in words:
-            return self.advance()
-        self.error(f"got {tok.value!r}" if tok.value else "got end of input", tok, expected=words)
+        if tok.type == type and (not values or tok.value in values):
+            self.pos += 1
+            return tok
+        self.error("got end of input" if tok.type == "EOF" else f"got {tok.value!r}",
+                   tok, expected or values)
 
-    def expect_punct(self, ch: str) -> _Token:
+    def accept(self, type: str, value: str) -> bool:
+        """Consume the next token if it is `value` of `type`."""
         tok = self.peek()
-        if tok.type == "PUNCT" and tok.value == ch:
-            return self.advance()
-        self.error(f"got {tok.value!r}" if tok.value else "got end of input", tok, expected=(ch,))
+        if tok.type == type and tok.value == value:
+            self.pos += 1
+            return True
+        return False
 
-    def expect_name(self, what: str = "a name") -> _Token:
+    def expect_name(self, what: str) -> str:
         tok = self.peek()
-        if tok.type == "NAME":
-            return self.advance()
         if tok.type == "KEYWORD":
             self.error(f"reserved word {tok.value!r} cannot be used as {what}", tok)
-        self.error(f"got {tok.value!r}" if tok.value else "got end of input", tok, expected=(what,))
+        return self.expect("NAME", expected=(what,)).value
 
-    def expect_number(self) -> tuple[float, _Token]:
-        tok = self.peek()
-        if tok.type == "NUMBER":
-            self.advance()
-            return float(tok.value), tok
-        self.error(f"got {tok.value!r}" if tok.value else "got end of input", tok, expected=("a number",))
+    def expect_number(self) -> float:
+        return float(self.expect("NUMBER", expected=("a number",)).value)
 
     def expect_integer(self, what: str) -> int:
-        value, tok = self.expect_number()
+        tok = self.peek()
+        value = self.expect_number()
         if not value.is_integer():
             self.error(f"{what} must be an integer, got {tok.value}", tok)
         return int(value)
 
     def expect_string(self) -> str:
-        tok = self.peek()
-        if tok.type == "STRING":
-            return self.advance().value
-        self.error(f"got {tok.value!r}" if tok.value else "got end of input", tok,
-                   expected=("a quoted string",))
+        return self.expect("STRING", expected=("a quoted string",)).value
 
     def name_list(self, what: str) -> tuple[str, ...]:
-        names = [self.expect_name(what).value]
-        while self.peek().type == "PUNCT" and self.peek().value == ",":
-            self.advance()
-            names.append(self.expect_name(what).value)
+        names = [self.expect_name(what)]
+        while self.accept("PUNCT", ","):
+            names.append(self.expect_name(what))
         return tuple(names)
 
     # declarations --------------------------------------------------------
 
-    def declare(self, kind: str, tok: _Token):
-        key = (kind, tok.value)
-        if key in self.spans:
-            self.error(f"duplicate {kind} name {tok.value!r}", tok)
-        self.spans[key] = (tok.line, tok.column)
+    def declare(self, kind: str, what: str) -> str:
+        """Read the name of a new `kind` element and record where it stands."""
+        tok = self.peek()
+        name = self.expect_name(what)
+        if (kind, name) in self.spans:
+            self.error(f"duplicate {kind} name {name!r}", tok)
+        self.spans[(kind, name)] = (tok.line, tok.column)
+        return name
 
     def parse(self) -> RiskModel:
-        while True:
-            tok = self.peek()
-            if tok.type == "EOF":
-                break
-            if tok.type != "KEYWORD":
-                self.error(f"got {tok.value!r}", tok,
-                           expected=("actor", "goal", "feature", "event", "situation"))
-            if tok.value == "actor":
-                self.parse_actor()
-            elif tok.value == "goal":
-                self.parse_goal()
-            elif tok.value == "feature":
-                self.parse_feature()
-            elif tok.value == "event":
-                self.parse_event()
-            elif tok.value == "situation":
-                self.parse_situation()
-            else:
-                self.error(f"got {tok.value!r}", tok,
-                           expected=("actor", "goal", "feature", "event", "situation"))
+        while self.peek().type != "EOF":
+            kind = self.expect("KEYWORD", *_DECLARATIONS).value
+            getattr(self, "parse_" + kind)()
         if not self.spans:
-            self.error("empty model", self.peek(),
-                       expected=("actor", "goal", "feature", "event", "situation"))
+            self.error("empty model", expected=_DECLARATIONS)
         return RiskModel(
             actors=tuple(self.actors), goals=tuple(self.goals),
             features=tuple(self.features), events=tuple(self.events),
@@ -233,127 +210,88 @@ class _Parser:
         )
 
     def parse_actor(self):
-        self.advance()
-        name = self.expect_name("an actor name")
-        self.declare("actor", name)
-        self.actors.append(Actor(name.value))
+        self.actors.append(Actor(self.declare("actor", "an actor name")))
 
     def parse_goal(self):
-        self.advance()
-        name = self.expect_name("a goal name")
-        self.declare("goal", name)
-        self.expect_keyword("owner")
-        owner = self.expect_name("an actor name").value
-        text = self.expect_string()
-        self.goals.append(Goal(name.value, owner, text))
+        name = self.declare("goal", "a goal name")
+        self.expect("KEYWORD", "owner")
+        owner = self.expect_name("an actor name")
+        self.goals.append(Goal(name, owner, self.expect_string()))
 
     def parse_feature(self):
-        self.advance()
-        name = self.expect_name("a feature name")
-        self.declare("feature", name)
-        kind_tok = self.expect_keyword("continuous", "integer", "categorical")
-        if kind_tok.value == "categorical":
-            self.expect_punct("{")
+        name = self.declare("feature", "a feature name")
+        kind = self.expect("KEYWORD", CONTINUOUS, INTEGER, CATEGORICAL).value
+        if kind == CATEGORICAL:
+            self.expect("PUNCT", "{")
             values = self.name_list("a category")
-            self.expect_punct("}")
-            self.expect_keyword("binds")
-            binding = self.parse_path()
+            self.expect("PUNCT", "}")
+            self.expect("KEYWORD", "binds")
             self.features.append(DomainFeature(
-                name.value, CATEGORICAL, values=values, binding=binding))
+                name, CATEGORICAL, values=values, binding=self.parse_path()))
             return
-        kind = CONTINUOUS if kind_tok.value == "continuous" else INTEGER
-        self.expect_punct("[")
-        if kind == INTEGER:
-            lo: float | int = self.expect_integer("integer feature bound")
-        else:
-            lo, _ = self.expect_number()
-        self.expect_punct(",")
-        if kind == INTEGER:
-            hi: float | int = self.expect_integer("integer feature bound")
-        else:
-            hi, _ = self.expect_number()
-        self.expect_punct("]")
-        units = self.expect_name("a units word").value
-        self.expect_keyword("binds")
-        binding = self.parse_path()
+        bound = (partial(self.expect_integer, "integer feature bound")
+                 if kind == INTEGER else self.expect_number)
+        self.expect("PUNCT", "[")
+        lo = bound()
+        self.expect("PUNCT", ",")
+        hi = bound()
+        self.expect("PUNCT", "]")
+        units = self.expect_name("a units word")
+        self.expect("KEYWORD", "binds")
         self.features.append(DomainFeature(
-            name.value, kind, lo=lo, hi=hi, units=units, binding=binding))
+            name, kind, lo=lo, hi=hi, units=units, binding=self.parse_path()))
 
     def parse_path(self) -> str:
-        parts = [self.expect_name("a scenario path").value]
-        while self.peek().type == "PUNCT" and self.peek().value == ".":
-            self.advance()
-            parts.append(self.expect_name("a scenario path").value)
+        parts = [self.expect_name("a scenario path")]
+        while self.accept("PUNCT", "."):
+            parts.append(self.expect_name("a scenario path"))
         return ".".join(parts)
 
     def parse_event(self):
-        self.advance()
-        name = self.expect_name("an event name")
-        self.declare("event", name)
-        polarity_tok = self.expect_keyword("positive", "negative")
-        polarity = POSITIVE if polarity_tok.value == "positive" else NEGATIVE
-        self.expect_keyword("when")
-        metric = self.expect_name("a metric name").value
-        op_tok = self.peek()
-        if op_tok.type == "PUNCT" and op_tok.value in "<>":
-            self.advance()
-        else:
-            self.error(f"got {op_tok.value!r}" if op_tok.value else "got end of input",
-                       op_tok, expected=("<", ">"))
-        threshold, _ = self.expect_number()
-        self.expect_keyword("impacts")
+        name = self.declare("event", "an event name")
+        polarity = self.expect("KEYWORD", POSITIVE, NEGATIVE).value
+        self.expect("KEYWORD", "when")
+        metric = self.expect_name("a metric name")
+        op = self.expect("PUNCT", "<", ">").value
+        threshold = self.expect_number()
+        self.expect("KEYWORD", "impacts")
         impacts = [self.parse_impact()]
-        while self.peek().type == "PUNCT" and self.peek().value == ",":
-            self.advance()
+        while self.accept("PUNCT", ","):
             impacts.append(self.parse_impact())
         likelihood = None
-        if self.peek().type == "KEYWORD" and self.peek().value == "likelihood":
-            self.advance()
-            fraction, frac_tok = self.expect_number()
-            self.expect_keyword("of")
-            samples = self.expect_integer("likelihood sample count")
-            likelihood = Likelihood(fraction, samples)
+        if self.accept("KEYWORD", "likelihood"):
+            fraction = self.expect_number()
+            self.expect("KEYWORD", "of")
+            likelihood = Likelihood(fraction, self.expect_integer("likelihood sample count"))
         self.events.append(Event(
-            name.value, polarity, Condition(metric, op_tok.value, threshold),
+            name, polarity, Condition(metric, op, threshold),
             impacts=tuple(impacts), likelihood=likelihood))
 
     def parse_impact(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok.type == "PUNCT" and tok.value in "+-":
-            self.advance()
-        else:
-            self.error(f"got {tok.value!r}" if tok.value else "got end of input",
-                       tok, expected=("+", "-"))
-        goal = self.expect_name("a goal name").value
-        return (tok.value, goal)
+        sign = self.expect("PUNCT", "+", "-").value
+        return (sign, self.expect_name("a goal name"))
 
     def parse_situation(self):
-        self.advance()
-        name = self.expect_name("a situation name")
-        self.declare("situation", name)
+        name = self.declare("situation", "a situation name")
         description = self.expect_string()
-        self.expect_keyword("scenario")
+        self.expect("KEYWORD", "scenario")
         scenario_ref = self.expect_string()
-        self.expect_keyword("exposes")
+        self.expect("KEYWORD", "exposes")
         exposes = self.name_list("an event name")
-        self.expect_keyword("features")
+        self.expect("KEYWORD", "features")
         features = self.name_list("a feature name")
         indicator_names: list[str] = []
-        if self.peek().type == "KEYWORD" and self.peek().value == "indicators":
-            self.advance()
+        if self.accept("KEYWORD", "indicators"):
             while True:
-                ind_name = self.expect_name("an indicator name")
-                self.declare("indicator", ind_name)
-                self.expect_punct(":")
-                metric = self.expect_name("a metric name").value
-                self.indicators.append(Indicator(ind_name.value, name.value, metric))
-                indicator_names.append(ind_name.value)
-                if self.peek().type == "PUNCT" and self.peek().value == ",":
-                    self.advance()
-                    continue
-                break
+                ind_name = self.declare("indicator", "an indicator name")
+                self.expect("PUNCT", ":")
+                metric = self.expect_name("a metric name")
+                self.indicators.append(Indicator(ind_name, name, metric))
+                indicator_names.append(ind_name)
+                if not self.accept("PUNCT", ","):
+                    break
         self.situations.append(Situation(
-            name.value, description, scenario_ref,
+            name, description, scenario_ref,
             exposes=exposes, features=features, indicators=tuple(indicator_names)))
 
 

@@ -81,7 +81,6 @@ class EvaluatedPoint:
     assignment: dict
     robustness: float
     verdict: object
-    seed: int
     index: int
 
 
@@ -143,8 +142,7 @@ class _Driver:
                 assignments, self.evaluate_many(assignments)):
             point = EvaluatedPoint(assignment=assignment,
                                    robustness=float(robustness),
-                                   verdict=verdict, seed=self.config.seed,
-                                   index=self.spent)
+                                   verdict=verdict, index=self.spent)
             self.archive.record(point)
             self.spent += 1
             recorded.append(point.robustness)

@@ -27,8 +27,7 @@ def _cell(dim, value) -> str:
     return repr(float(value))
 
 
-def archive_to_csv(archive: Archive, space: FeatureSpace,
-                   target_event: str) -> str:
+def archive_to_csv(archive: Archive, space: FeatureSpace) -> str:
     """index, feature columns, robustness, label, triggered events."""
     header = ["index", *space.names(), "robustness", "label", "triggered"]
     lines = [",".join(header)]

@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 
 from ..errors import DomainError
+from ..metrics import TRACE_METRIC_NAMES
 from .geometry import point_segment_distance, two_link_elbow
 from .perception import (ARM_LINK_RADIUS, OBJECT_RADIUS,
                          detection_probability, hand_detected,
@@ -75,13 +76,7 @@ class TraceMetrics:
     collision: bool
 
     def as_dict(self) -> dict:
-        return {
-            "min_margin": self.min_margin,
-            "min_distance": self.min_distance,
-            "objects_fallen": float(self.objects_fallen),
-            "detection_miss_ratio": self.detection_miss_ratio,
-            "collision": 1.0 if self.collision else 0.0,
-        }
+        return {name: float(getattr(self, name)) for name in TRACE_METRIC_NAMES}
 
 
 @dataclass(frozen=True)
@@ -180,10 +175,10 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     miss_horizon = per.miss_horizon
     ignore_occ = per.ignore_occlusion
 
-    # Mutable world state.
-    spawned = [False] * n_objects
-    picked = [False] * n_objects
-    fallen = [False] * n_objects
+    # Mutable world state. Objects enter in index order, so the spawned
+    # ones are the first n_spawned; a picked or fallen one is off the belt.
+    n_spawned = 0
+    off_belt = [False] * n_objects
     travel = [0.0] * n_objects
     acquired = [False] * n_objects
 
@@ -191,7 +186,7 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     elbow_x, elbow_y = two_link_elbow(base_x, base_y, ee_x, ee_y, l1, l2)
     v_prev = 0.0
     carrying = -1
-    chase = -1
+    chase = None  # (i, x, y, t_fall) of the object being chased
 
     hand_age = miss_horizon + 1
     last_hand_x = 0.0
@@ -209,18 +204,24 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     for k in range(n_steps):
         t = (k + 1) * dt
 
-        # Advance the conveyor.
+        # Advance the conveyor and list what is on it as (i, x, y).
+        on_belt = []
         for i in range(n_objects):
-            if not spawned[i]:
-                if t >= i * spawn_interval:
-                    spawned[i] = True
-                    travel[i] = (t - i * spawn_interval) * belt_speed
-            elif not picked[i] and not fallen[i]:
+            if off_belt[i]:
+                continue
+            if i < n_spawned:
                 travel[i] += belt_speed * dt
-            if spawned[i] and not picked[i] and not fallen[i] \
-                    and travel[i] >= belt_len:
-                fallen[i] = True
+            elif t >= i * spawn_interval:
+                n_spawned += 1
+                travel[i] = (t - i * spawn_interval) * belt_speed
+            else:
+                break
+            if travel[i] >= belt_len:
+                off_belt[i] = True
                 objects_fallen += 1
+            else:
+                on_belt.append((i, belt_sx + belt_ux * travel[i],
+                                belt_sy + belt_uy * travel[i]))
 
         # Advance the operator.
         depth = _hand_depth(t, approach, reach_depth, hand_speed)
@@ -233,15 +234,11 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
         # miss: the hand is there, the camera just cannot resolve it.
         detected = False
         if p_clear > 0.0:
-            for i in range(n_objects):
-                if spawned[i] and not picked[i] and not fallen[i] \
-                        and not acquired[i]:
-                    ox = belt_sx + belt_ux * travel[i]
-                    oy = belt_sy + belt_uy * travel[i]
-                    if ignore_occ or in_field_of_view(
-                            cam_x, cam_y, cam_yaw, half_angle, ox, oy):
-                        if p_clear >= 1.0 or rng.random() < p_clear:
-                            acquired[i] = True
+            for i, ox, oy in on_belt:
+                if not acquired[i] and (ignore_occ or in_field_of_view(
+                        cam_x, cam_y, cam_yaw, half_angle, ox, oy)):
+                    if p_clear >= 1.0 or rng.random() < p_clear:
+                        acquired[i] = True
         in_view = ignore_occ or in_field_of_view(cam_x, cam_y, cam_yaw,
                                                  half_angle, hand_x, hand_y)
         if in_view:
@@ -255,12 +252,7 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
                     links = ((base_x, base_y, elbow_x, elbow_y,
                               ARM_LINK_RADIUS),
                              (elbow_x, elbow_y, ee_x, ee_y, ARM_LINK_RADIUS))
-                    discs = []
-                    for i in range(n_objects):
-                        if spawned[i] and not picked[i] and not fallen[i]:
-                            discs.append((belt_sx + belt_ux * travel[i],
-                                          belt_sy + belt_uy * travel[i],
-                                          OBJECT_RADIUS))
+                    discs = [(ox, oy, OBJECT_RADIUS) for _, ox, oy in on_belt]
                 detected = hand_detected(u, p_clear, cam_xy,
                                          (hand_x, hand_y), links, discs)
             if detected:
@@ -282,14 +274,12 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
             have_target = True
         else:
             # Stick with the current chase while it stays winnable.
-            best = -1
+            previous = chase[0] if chase else -1
+            chase = None
             best_dist = math.inf
-            for i in range(n_objects):
-                if not (spawned[i] and not picked[i] and not fallen[i]
-                        and acquired[i]):
+            for i, ox, oy in on_belt:
+                if not acquired[i]:
                     continue
-                ox = belt_sx + belt_ux * travel[i]
-                oy = belt_sy + belt_uy * travel[i]
                 dist = math.hypot(ox - ee_x, oy - ee_y)
                 if belt_speed > 0.0:
                     t_fall = (belt_len - travel[i]) / belt_speed
@@ -297,20 +287,14 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
                     t_fall = math.inf
                 if dist / max(t_fall, dt) > v_max:
                     continue
-                if i == chase:
-                    best = i
+                if i == previous:
+                    chase = (i, ox, oy, t_fall)
                     break
                 if dist < best_dist:
-                    best = i
+                    chase = (i, ox, oy, t_fall)
                     best_dist = dist
-            chase = best
-            if best >= 0:
-                target_x = belt_sx + belt_ux * travel[best]
-                target_y = belt_sy + belt_uy * travel[best]
-                if belt_speed > 0.0:
-                    deadline = (belt_len - travel[best]) / belt_speed
-                else:
-                    deadline = math.inf
+            if chase:
+                _, target_x, target_y, deadline = chase
                 have_target = True
             else:
                 target_x, target_y = ee_x, ee_y
@@ -329,7 +313,7 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
                 target_x = base_x + (target_x - base_x) * scale
                 target_y = base_y + (target_y - base_y) * scale
             goal_dist = math.hypot(target_x - ee_x, target_y - ee_y)
-            if carrying < 0 and chase >= 0:
+            if chase:
                 # Closing law for a moving object, with a deadline override
                 # when the object nears the belt end.
                 v_des = belt_speed + goal_dist / CHASE_GAIN
@@ -424,14 +408,12 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
         if carrying >= 0:
             if math.hypot(ee_x - bin_x, ee_y - bin_y) <= pick_radius:
                 carrying = -1
-        elif chase >= 0 and spawned[chase] and not picked[chase] \
-                and not fallen[chase]:
-            ox = belt_sx + belt_ux * travel[chase]
-            oy = belt_sy + belt_uy * travel[chase]
+        elif chase:
+            i, ox, oy, _ = chase
             if math.hypot(ee_x - ox, ee_y - oy) <= pick_radius:
-                picked[chase] = True
-                carrying = chase
-                chase = -1
+                off_belt[i] = True
+                carrying = i
+                chase = None
 
         # True separation between the operator (hand plus torso anchor) and
         # both arm links.

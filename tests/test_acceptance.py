@@ -385,8 +385,7 @@ def test_08_round_trips(corner_model, corner_scenario):
                            "insufficient_distance", config,
                            sim_seeds=(SIM_SEED,))
     space = make_feature_space(corner_model, "low_light_rush")
-    rows = parse_archive_csv(archive_to_csv(archive, space,
-                                            "insufficient_distance"), space)
+    rows = parse_archive_csv(archive_to_csv(archive, space), space)
     dataset = dataset_from_rows(space, rows)
     assert len(dataset) == len(archive.points) == 60
     labeled_bad = sum(1 for _, label in dataset.rows if label == NC)

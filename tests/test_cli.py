@@ -288,7 +288,7 @@ def test_run_matches_the_single_process_campaign(tmp_path, corner_model,
     archive = run_campaign(corner_model, corner_scenario, "low_light_rush",
                            "insufficient_distance", config, workers=1)
     space = make_feature_space(corner_model, "low_light_rush")
-    expected = archive_to_csv(archive, space, "insufficient_distance")
+    expected = archive_to_csv(archive, space)
     assert (tmp_path / "camp" / "archive.csv").read_text() == expected
     assert len(archive.points) == 67
 
@@ -369,10 +369,15 @@ def test_explain_needs_the_campaign_header(campaign, tmp_path):
     lambda header: header["config"].update(sigma=float("nan")),
     lambda header: header["config"].update(warp=9),
     lambda header: header["config"].pop("sigma"),
+    lambda header: header.pop("situation"),
+    lambda header: header.update(situation=7),
+    lambda header: header.pop("event"),
+    lambda header: header.update(event=["x"]),
 ], ids=["no-config", "config-list", "no-seed", "seed-string", "seed-float",
         "seed-negative", "algorithm-null", "threshold-string",
         "threshold-nan", "threshold-huge", "sigma-nan", "unknown-key",
-        "no-sigma"])
+        "no-sigma", "no-situation", "situation-number", "no-event",
+        "event-list"])
 def test_explain_rejects_a_bad_campaign_header(campaign, edit):
     out = campaign / "camp"
     header = json.loads((out / "campaign.json").read_text())
@@ -386,6 +391,23 @@ def test_explain_rejects_a_bad_campaign_header(campaign, edit):
     assert not (out / "tree.json").exists()
 
 
+@pytest.mark.parametrize("edit", [
+    lambda header: header.update(situation="ghost"),
+    lambda header: header.update(event="ghost"),
+], ids=["unknown-situation", "unexposed-event"])
+def test_explain_rejects_a_header_name_the_model_lacks(campaign, edit):
+    out = campaign / "camp"
+    header = json.loads((out / "campaign.json").read_text())
+    edit(header)
+    (out / "campaign.json").write_text(json.dumps(header))
+    result = run_cli("explain", out / "archive.csv", "--model", MODEL,
+                     cwd=campaign)
+    assert result.returncode == 1
+    assert "'ghost'" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (out / "tree.json").exists()
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf"])
 def test_explain_rejects_a_non_finite_threshold_flag(campaign, threshold):
     out = campaign / "camp"
@@ -394,6 +416,16 @@ def test_explain_rejects_a_non_finite_threshold_flag(campaign, threshold):
     assert result.returncode == 2
     assert "--threshold must be finite" in result.stderr
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("threshold", ["1.5", "-0.5"])
+def test_explain_rejects_a_threshold_flag_outside_the_unit_interval(
+        campaign, tmp_path, threshold):
+    # Checked before the archive is read: a missing one is never reached.
+    result = run_cli("explain", tmp_path / "absent.csv", "--model", MODEL,
+                     "--threshold", threshold, cwd=campaign)
+    assert result.returncode == 2
+    assert f"--threshold outside [0, 1]: {threshold}" in result.stderr
 
 
 def _strict_json(text):

@@ -1,9 +1,13 @@
 """Parser, validator, serializer, and assurance-case derivation."""
 
+import hashlib
 import pickle
+import random
+import re
 
 import pytest
 
+from riskbench.datafiles import data_text
 from riskbench.errors import (ModelInvalidError, RiskmlSyntaxError,
                               UnknownNameError)
 from riskbench.riskml import (CATEGORICAL, CONTINUOUS, INTEGER, NEGATIVE,
@@ -92,6 +96,16 @@ def test_syntax_error_carries_position():
         parse_risk_model("actor operator\ngoal g owner operator")
     assert err.value.line == 2
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("actor operator\ngoal g owner operator", "got end of input"),
+    ('actor ""', "got ''"),
+], ids=["end-of-input", "empty-string"])
+def test_only_the_end_of_input_reads_as_the_end_of_input(text, message):
+    with pytest.raises(RiskmlSyntaxError) as err:
+        parse_risk_model(text)
+    assert err.value.reason == message
 
 
 def test_keywords_are_reserved():
@@ -245,3 +259,67 @@ def test_cases_json_shape(default_model):
     assert case["claim"]["sub_claims"][0]["evidence_slot"] == \
         case["evidence"][0]["event"]
     assert case["evidence"][0]["campaign"] is None
+
+
+# -- mutation sweep ----------------------------------------------------------
+
+# A token is a string, a signed number, a word or one other character.
+_TOKEN = re.compile(r'"[^"\n]*"|[-+]?\d[\d.]*(?:[eE][-+]?\d+)?|\w+|\S')
+_SWEEP_SOURCES = [data_text("default.riskml"), data_text("corner.riskml"),
+                  WELL_FORMED]
+_EXTRA_TOKENS = ["1.5", "-2", "3", "1e3", "1.5e", "+", "-", ".", "½", '"s"',
+                 "x", "[", "]", "{", "}", ":", ",", "<", ">", "#"]
+
+
+def _source_tokens(text):
+    """(line index, token) for every token outside comments."""
+    return [(i, tok) for i, line in enumerate(text.splitlines())
+            for tok in _TOKEN.findall(line.split("#", 1)[0])]
+
+
+def _mutate(rng, tokens, vocabulary):
+    tokens = list(tokens)
+    for _ in range(rng.randint(1, 3)):
+        if not tokens:
+            break
+        k = rng.randrange(len(tokens))
+        op = rng.randrange(5)
+        if op == 0 and len(tokens) > 1:
+            del tokens[k]
+        elif op == 1:
+            tokens.insert(k, tokens[k])
+        elif op == 2 and k + 1 < len(tokens):
+            (i, a), (j, b) = tokens[k], tokens[k + 1]
+            tokens[k], tokens[k + 1] = (i, b), (j, a)
+        elif op == 3:
+            tokens[k] = (tokens[k][0], rng.choice(vocabulary))
+        else:
+            del tokens[k:]
+    lines: dict = {}
+    for i, tok in tokens:
+        lines.setdefault(i, []).append(tok)
+    return "\n".join(" ".join(lines.get(i, ())) for i in range(max(lines, default=0) + 1))
+
+
+# Frozen from the parser as it stood before its token plumbing was folded
+# into one `expect`: every outcome of the sweep, a model with its spans or
+# an error with its message, position and expected tokens, is unchanged.
+_PARSE_SWEEP_SHA256 = \
+    "4635900a03f6ecae70740083610a9d5ca1406e1e9af2ab5c5bb922e25b4a4c5b"
+
+
+def test_a_mutation_sweep_of_the_shipped_models_reproduces_its_digest():
+    sources = [_source_tokens(text) for text in _SWEEP_SOURCES]
+    vocabulary = sorted({tok for toks in sources for _, tok in toks}) + _EXTRA_TOKENS
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for n in range(2000):
+        text = _mutate(rng, sources[n % len(sources)], vocabulary)
+        try:
+            model = parse_risk_model(text)
+        except RiskmlSyntaxError as err:
+            outcome = (str(err), err.line, err.column, err.expected)
+        else:
+            outcome = (repr(model), sorted(model.spans.items()))
+        digest.update(repr(outcome).encode())
+    assert digest.hexdigest() == _PARSE_SWEEP_SHA256

@@ -226,7 +226,7 @@ def small_campaign(corner_model, corner_scenario):
 
 def test_archive_csv_round_trip(small_campaign):
     archive, space, _ = small_campaign
-    text = archive_to_csv(archive, space, "insufficient_distance")
+    text = archive_to_csv(archive, space)
     rows = parse_archive_csv(text, space)
     assert len(rows) == len(archive.points)
     for point, (index, assignment, robustness, label, triggered) in zip(
@@ -265,7 +265,7 @@ def test_the_header_holds_the_search_config_field_for_field(small_campaign):
 
 def test_parse_archive_rejects_foreign_columns(small_campaign):
     archive, space, _ = small_campaign
-    text = archive_to_csv(archive, space, "insufficient_distance")
+    text = archive_to_csv(archive, space)
     other = FeatureSpace(dims=(
         DomainFeature(name="different", kind="continuous", lo=0.0, hi=1.0),))
     with pytest.raises(Exception):
@@ -395,7 +395,7 @@ def _corner_campaign_csv(model, scenario, config, workers):
     archive = run_campaign(model, scenario, "low_light_rush",
                            "insufficient_distance", config, workers=workers)
     space = make_feature_space(model, "low_light_rush")
-    return archive_to_csv(archive, space, "insufficient_distance")
+    return archive_to_csv(archive, space)
 
 
 @pytest.mark.parametrize("config,rows", [

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from riskbench.datafiles import data_text
 from riskbench.errors import ConfigError, DomainError, UnknownNameError
+from riskbench.metrics import TRACE_METRIC_NAMES
 from riskbench.riskml import load_model, parse_risk_model
 from riskbench.search import campaign_evaluator
 from riskbench.sim import (CONTACT_EPSILON, LABEL_COMPLIANCE,
@@ -406,6 +408,11 @@ def test_verdict_label_ignores_positive_events():
     verdict = evaluate_events(_metrics(0.05), _EVENT_MODEL, sit)
     assert verdict.outcome("near").triggered
     assert verdict.label == LABEL_NON_COMPLIANCE
+
+
+def test_the_simulator_publishes_exactly_the_trace_metric_names():
+    assert tuple(f.name for f in fields(TraceMetrics)) == TRACE_METRIC_NAMES
+    assert tuple(_metrics(0.1).as_dict()) == TRACE_METRIC_NAMES
 
 
 def test_verdict_unknown_event():
