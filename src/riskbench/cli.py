@@ -6,9 +6,12 @@ resolve relative to the config file, output paths relative to the working
 directory. Every artifact write is atomic and every JSON output has stable
 key order, so identical inputs give byte-identical outputs.
 
-Exit codes: 0 success (found violations are results, not failures),
-1 domain or validation error, 2 I/O or configuration error, 3 campaign
-performed no evaluations.
+Exit codes follow one rule, which the command group applies to any error
+a command lets escape: a ConfigError (an unusable input or config value)
+exits 2, any other RiskbenchError exits 1. A campaign that performed no
+evaluations exits 3, and success exits 0 (found violations are results,
+not failures). A command converts an error itself only where the code
+depends on context or the message gets a prefix.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from pathlib import Path
 
 import click
 
-from .errors import (ArchiveMismatchError, BindingError, ConfigError,
-                     DomainError, EmptyRegionError, ModelInvalidError,
+from .errors import (ConfigError, DomainError, RiskbenchError,
                      RiskmlSyntaxError, UnknownNameError)
 from .explain import (dataset_from_rows, estimate_event_likelihood,
                       extract_rules, generate_counterexamples, induce_tree,
@@ -46,26 +48,15 @@ DEFAULT_THRESHOLD = 0.2
 DEFAULT_SIM_SEED = 11
 AUGMENTATION_PER_RULE = 20
 
-_DOMAIN_ERRORS = (RiskmlSyntaxError, ModelInvalidError, DomainError,
-                  UnknownNameError, BindingError, ArchiveMismatchError,
-                  EmptyRegionError)
-
 
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
-def _read(path) -> str:
-    try:
-        return read_text(str(path))
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-
-
 def _load_model_file(path: str):
     """Read, parse, and validate a model file; exits on any problem."""
-    text = _read(path)
+    text = read_text(path)
     try:
         model = parse_risk_model(text)
     except RiskmlSyntaxError as exc:
@@ -80,7 +71,7 @@ def _load_model_file(path: str):
 
 
 def _load_scenario_file(path: str):
-    text = _read(path)
+    text = read_text(path)
     try:
         return load_scenario(text, source=path), text
     except (ConfigError, DomainError) as exc:
@@ -95,7 +86,27 @@ def _write(path: Path, text: str) -> None:
         _fail(EXIT_CONFIG, f"cannot write {path}: {exc}")
 
 
-@click.group()
+def _read_json(path):
+    try:
+        return json.loads(read_text(str(path)))
+    except ValueError as exc:
+        _fail(EXIT_CONFIG, f"{path}: not valid JSON: {exc}")
+
+
+class _Commands(click.Group):
+    """The exit-code rule for every command: an error that escapes one
+    exits 2 if it is a ConfigError and 1 otherwise."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            _fail(EXIT_CONFIG, str(exc))
+        except RiskbenchError as exc:
+            _fail(EXIT_INVALID, str(exc))
+
+
+@click.group(cls=_Commands)
 def main():
     """Risk-driven assurance workbench for a collaborative robot cell."""
 
@@ -133,8 +144,10 @@ _CONFIG_FIELDS = {**SEARCH_FIELDS, "threshold": _THRESHOLD,
                   "sim_seed": Field("sim_seed", int)}
 _CONFIG_KEYS = set(_CONFIG_FIELDS) | {"model", "scenario", "situation",
                                       "event", "out"}
-# The names a campaign.json header carries besides its config.
+# The names a campaign.json header carries besides its config, and its
+# row count.
 _HEADER_NAMES = (Field("situation", str), Field("event", str))
+_EVALUATIONS = Field("evaluations", int, lo=1)
 
 
 def _usable_cpus() -> int:
@@ -144,12 +157,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _campaign_from_config(config_path: str, overrides: dict):
-    """Resolve a campaign config file into loaded, validated inputs."""
-    try:
-        raw = read_kv(_read(config_path), source=config_path)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+@main.command("run")
+@click.option("--config", "config_path", required=True,
+              type=click.Path(), help="Campaign config file.")
+@click.option("--out", "out_dir", default=None,
+              type=click.Path(), help="Output directory (overrides config).")
+@click.option("--seed", default=None, type=int,
+              help="Search seed (overrides config).")
+@click.option("--budget", default=None, type=int,
+              help="Evaluation budget (overrides config).")
+def cmd_run(config_path, out_dir, seed, budget):
+    """Run a falsification campaign and persist its archive."""
+    raw = read_kv(read_text(config_path), source=config_path)
     config_dir = Path(config_path).resolve().parent
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
@@ -167,10 +186,7 @@ def _campaign_from_config(config_path: str, overrides: dict):
             _fail(EXIT_CONFIG, "config must name a situation; the model "
                                f"declares {len(model.situations)}")
         situation_name = model.situations[0].name
-    try:
-        situation = model.situation(situation_name)
-    except UnknownNameError as exc:
-        _fail(EXIT_INVALID, str(exc))
+    situation = model.situation(situation_name)
 
     if "scenario" in raw:
         scenario_path = config_dir / raw["scenario"]
@@ -195,76 +211,40 @@ def _campaign_from_config(config_path: str, overrides: dict):
         _THRESHOLD.check(threshold)
     except (ConfigError, DomainError) as exc:
         _fail(EXIT_CONFIG, str(exc))
-    values.update((key, overrides[key]) for key in ("budget", "seed")
-                  if overrides.get(key) is not None)
+    for key, flag in (("budget", budget), ("seed", seed)):
+        if flag is not None:
+            values[key] = flag
     config = SearchConfig(**values)
-
-    out_dir = overrides.get("out") or raw.get("out") or "campaign_out"
-
-    return {
-        "model": model,
-        "model_text": model_text,
-        "scenario": scenario,
-        "scenario_text": scenario_text,
-        "situation": situation_name,
-        "event": event_name,
-        "search": config,
-        "sim_seed": sim_seed,
-        "threshold": threshold,
-        "out": Path(out_dir),
-    }
-
-
-@main.command("run")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(), help="Campaign config file.")
-@click.option("--out", "out_dir", default=None,
-              type=click.Path(), help="Output directory (overrides config).")
-@click.option("--seed", default=None, type=int,
-              help="Search seed (overrides config).")
-@click.option("--budget", default=None, type=int,
-              help="Evaluation budget (overrides config).")
-def cmd_run(config_path, out_dir, seed, budget):
-    """Run a falsification campaign and persist its archive."""
-    setup = _campaign_from_config(config_path, {"out": out_dir, "seed": seed,
-                                                "budget": budget})
-    config = setup["search"]
     if config.budget < 1:
         _fail(EXIT_EMPTY, "campaign performed no evaluations (budget "
                           f"{config.budget})")
 
-    try:
-        archive = run_campaign(setup["model"], setup["scenario"],
-                               setup["situation"], setup["event"], config,
-                               sim_seeds=(setup["sim_seed"],),
-                               workers=_usable_cpus())
-    except _DOMAIN_ERRORS as exc:
-        _fail(EXIT_INVALID, str(exc))
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    archive = run_campaign(model, scenario, situation_name, event_name,
+                           config, sim_seeds=(sim_seed,),
+                           workers=_usable_cpus())
     if not archive.points:
         _fail(EXIT_EMPTY, "campaign performed no evaluations")
 
-    space = make_feature_space(setup["model"], setup["situation"])
+    space = make_feature_space(model, situation_name)
     header = archive_header(
-        space, config, (setup["sim_seed"],), setup["situation"],
-        setup["event"], sha256_text(setup["model_text"]),
-        sha256_text(setup["scenario_text"]), len(archive.points))
-    header["threshold"] = setup["threshold"]
+        space, config, (sim_seed,), situation_name, event_name,
+        sha256_text(model_text), sha256_text(scenario_text),
+        len(archive.points))
+    header["threshold"] = threshold
 
     n = len(archive.points)
     n_viol = len(archive.violations)
     best = archive.points[archive.best]
     first = archive.violations[0] + 1 if archive.violations else None
     summary_lines = [
-        f"situation {setup['situation']}, event {setup['event']}, "
+        f"situation {situation_name}, event {event_name}, "
         f"algorithm {config.algorithm}",
         f"evaluations {n}, violations {n_viol}"
         + (f", first at evaluation {first}" if first else ""),
         f"best robustness {best.robustness!r} at index {best.index}",
     ]
 
-    out = setup["out"]
+    out = Path(out_dir or raw.get("out") or "campaign_out")
     _write(out / "archive.csv", archive_to_csv(archive, space))
     _write(out / "campaign.json", stable_json(header))
     _write(out / "summary.txt", "\n".join(summary_lines) + "\n")
@@ -274,9 +254,9 @@ def cmd_run(config_path, out_dir, seed, budget):
 
 
 def _check_header(header, header_file: Path):
-    """The campaign's search config, threshold, situation and event, each
-    checked as `run` checks it; exit 2 unless the header holds what explain
-    reads."""
+    """The campaign's search config, threshold, situation, event and
+    evaluation count, each checked as `run` checks it; exit 2 unless the
+    header holds what explain reads."""
     def bad(problem):
         _fail(EXIT_CONFIG, f"{header_file}: {problem}")
 
@@ -296,9 +276,10 @@ def _check_header(header, header_file: Path):
         threshold = _THRESHOLD.coerce(
             header.get("threshold", DEFAULT_THRESHOLD))
         situation, event = (f.coerce(header.get(f.path)) for f in _HEADER_NAMES)
+        evaluations = _EVALUATIONS.coerce(header.get("evaluations"))
     except DomainError as exc:
         bad(str(exc))
-    return config, threshold, situation, event
+    return config, threshold, situation, event, evaluations
 
 
 @main.command("explain")
@@ -318,12 +299,9 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
             _fail(EXIT_CONFIG, f"--{exc}")
     archive_file = Path(archive_path)
     header_file = archive_file.parent / "campaign.json"
-    archive_text = _read(archive_file)
-    try:
-        header = json.loads(_read(header_file))
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, f"{header_file}: not valid JSON: {exc}")
-    config, header_threshold, situation_name, event_name = \
+    archive_text = read_text(str(archive_file))
+    header = _read_json(header_file)
+    config, header_threshold, situation_name, event_name, evaluations = \
         _check_header(header, header_file)
 
     model, model_text = _load_model_file(model_path)
@@ -335,26 +313,23 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
     if threshold is None:
         threshold = header_threshold
 
-    try:
-        situation = model.situation(situation_name)
-        if event_name not in situation.exposes:
-            raise UnknownNameError(
-                f"event {event_name!r} is not exposed by situation "
-                f"{situation_name!r}")
-        space = make_feature_space(model, situation_name)
-        rows = parse_archive_csv(archive_text, space)
-        dataset = dataset_from_rows(space, rows)
-        tree = induce_tree(dataset)
-        rules = extract_rules(tree, threshold)
-        augmentation = [
-            generate_counterexamples(rule, space, AUGMENTATION_PER_RULE,
-                                     seed=config.seed)
-            for rule in rules
-        ]
-    except _DOMAIN_ERRORS as exc:
-        _fail(EXIT_INVALID, str(exc))
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    situation = model.situation(situation_name)
+    if event_name not in situation.exposes:
+        raise UnknownNameError(f"event {event_name!r} is not exposed by "
+                               f"situation {situation_name!r}")
+    space = make_feature_space(model, situation_name)
+    rows = parse_archive_csv(archive_text, space)
+    if len(rows) != evaluations:
+        _fail(EXIT_CONFIG, f"{header_file}: records {evaluations} "
+                           f"evaluations, the archive holds {len(rows)}")
+    dataset = dataset_from_rows(space, rows)
+    tree = induce_tree(dataset)
+    rules = extract_rules(tree, threshold)
+    augmentation = [
+        generate_counterexamples(rule, space, AUGMENTATION_PER_RULE,
+                                 seed=config.seed)
+        for rule in rules
+    ]
 
     fraction, samples = estimate_event_likelihood(dataset)
     annotated = annotate_likelihoods(model, {event_name: (fraction, samples)})
@@ -419,23 +394,17 @@ def cmd_replay(assignment_path, model_path, scenario_path, seed, out_dir):
     """Simulate one feature assignment (JSON object) and judge it."""
     model, _ = _load_model_file(model_path)
     scenario, _ = _load_scenario_file(scenario_path)
-    try:
-        assignment = json.loads(_read(assignment_path))
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, f"{assignment_path}: not valid JSON: {exc}")
+    assignment = _read_json(assignment_path)
     if not isinstance(assignment, dict):
         _fail(EXIT_CONFIG, f"{assignment_path}: expected a JSON object of "
                            "feature values")
 
-    try:
-        bound = bind_assignment(scenario, model, assignment)
-        trace = simulate(bound, seed)
-        verdicts = {
-            situation.name: evaluate_events(trace, model, situation)
-            for situation in model.situations
-        }
-    except _DOMAIN_ERRORS as exc:
-        _fail(EXIT_INVALID, str(exc))
+    bound = bind_assignment(scenario, model, assignment)
+    trace = simulate(bound, seed)
+    verdicts = {
+        situation.name: evaluate_events(trace, model, situation)
+        for situation in model.situations
+    }
 
     out = Path(out_dir)
     verdict_doc = {

@@ -30,12 +30,8 @@ class Constraint:
     def admits(self, value) -> bool:
         if self.kind == CATEGORICAL:
             return value in (self.values or ())
-        if self.lo_strict:
-            if not (value > self.lo):
-                return False
-        elif value < self.lo:
-            return False
-        return value <= self.hi
+        above = value > self.lo if self.lo_strict else value >= self.lo
+        return above and value <= self.hi
 
 
 @dataclass(frozen=True)
@@ -62,46 +58,32 @@ class AugmentationSet:
 
 
 def _path_constraints(columns, path) -> tuple:
-    """Intersect the tests of one path into per-feature constraints."""
-    by_index: dict = {}
-    for node, went_left in path:
-        split = node.split
-        state = by_index.setdefault(
-            split.feature_index,
-            {"lo": None, "lo_strict": False, "hi": None, "excluded": set(),
-             "only": None})
-        if split.kind == CATEGORICAL:
-            if went_left:
-                state["only"] = split.threshold
-            else:
-                state["excluded"].add(split.threshold)
-        elif went_left:
-            if state["hi"] is None or split.threshold < state["hi"]:
-                state["hi"] = split.threshold
-        else:
-            if state["lo"] is None or split.threshold > state["lo"]:
-                state["lo"] = split.threshold
-                state["lo_strict"] = True
+    """Intersect the tests of one path into per-feature constraints.
 
+    Each feature's tests are grouped into the thresholds of the left and
+    of the right branches taken. A category is allowed when it passes every
+    test: it equals each left one and none of the right ones. An interval
+    runs from the largest right threshold to the smallest left one, clipped
+    to the domain, and is open below when there is any right one. This is
+    exact because every split threshold is a midpoint of in-domain values,
+    so it lies in [lo, hi], and every category tested is a declared one.
+    """
+    tests: dict = {}
+    for node, went_left in path:
+        lefts, rights = tests.setdefault(node.split.feature_index, ([], []))
+        (lefts if went_left else rights).append(node.split.threshold)
     constraints = []
-    for idx in sorted(by_index):
+    for idx, (lefts, rights) in sorted(tests.items()):
         column = columns[idx]
-        state = by_index[idx]
         if column.kind == CATEGORICAL:
-            if state["only"] is not None:
-                allowed = (state["only"],)
-            else:
-                allowed = tuple(v for v in column.values
-                                if v not in state["excluded"])
-            constraints.append(Constraint(feature=column.name,
-                                          kind=column.kind, values=allowed))
+            allowed = tuple(v for v in column.values
+                            if v not in rights and all(v == t for t in lefts))
+            constraints.append(Constraint(column.name, column.kind,
+                                          values=allowed))
         else:
-            lo = column.lo if state["lo"] is None else max(column.lo, state["lo"])
-            hi = column.hi if state["hi"] is None else min(column.hi, state["hi"])
-            strict = state["lo"] is not None and state["lo"] >= column.lo
-            constraints.append(Constraint(feature=column.name,
-                                          kind=column.kind, lo=lo, hi=hi,
-                                          lo_strict=strict))
+            constraints.append(Constraint(
+                column.name, column.kind, lo=max([column.lo, *rights]),
+                hi=min([column.hi, *lefts]), lo_strict=bool(rights)))
     return tuple(constraints)
 
 

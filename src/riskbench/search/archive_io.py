@@ -87,9 +87,11 @@ def _parse_feature(dim, cell: str):
     return value
 
 
-def _parse_row(cells, space: FeatureSpace):
+def _parse_row(cells, space: FeatureSpace, position: int):
     n = len(space.dims)
     index = int(cells[0])
+    if index != position:
+        raise ValueError(f"index {index} is not the row's position {position}")
     assignment = {dim.name: _parse_feature(dim, cell)
                   for dim, cell in zip(space.dims, cells[1:1 + n])}
     # inf is a legal robustness: min_margin starts at math.inf.
@@ -106,9 +108,9 @@ def _parse_row(cells, space: FeatureSpace):
 def parse_archive_csv(text: str, space: FeatureSpace):
     """Rows back out of the CSV as (index, assignment, robustness, label,
     triggered tuple). The feature columns must match the space exactly, and
-    every row must hold an integer index, in-domain feature values, a
-    non-NaN robustness and a known label; ConfigError names the first row
-    that does not."""
+    every row must hold its position as its index (0 for the first row),
+    in-domain feature values, a non-NaN robustness and a known label;
+    ConfigError names the first row that does not."""
     lines = [(number, line) for number, line
              in enumerate(text.splitlines(), start=1) if line]
     if not lines:
@@ -126,7 +128,7 @@ def parse_archive_csv(text: str, space: FeatureSpace):
             raise ConfigError(f"malformed archive row at line {number}: "
                               f"{line!r}")
         try:
-            rows.append(_parse_row(cells, space))
+            rows.append(_parse_row(cells, space, len(rows)))
         except ValueError as exc:
             raise ConfigError(f"malformed archive row at line {number}: "
                               f"{exc}: {line!r}") from None

@@ -51,6 +51,11 @@ def run_cli(*args, cwd=None, pythonpath=()):
     if result.returncode != 0 and _IMPORT_FAILURE.search(result.stderr):
         pytest.fail("the CLI subprocess could not import riskbench:\n"
                     + result.stderr, pytrace=False)
+    # The CLI reports each failure it knows of in a message and an exit
+    # code; a traceback means an error escaped the exit-code rule.
+    if "Traceback (most recent call last)" in result.stderr:
+        pytest.fail("the CLI subprocess printed a traceback:\n"
+                    + result.stderr, pytrace=False)
     return result
 
 

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from riskbench.cli import main
 from riskbench.datafiles import data_path
+from riskbench.errors import (ConfigError, ModelInvalidError, RiskbenchError,
+                              RiskmlSyntaxError)
 from riskbench.fileio import read_text
 from riskbench.search import (SearchConfig, archive_to_csv,
                               make_feature_space, run_campaign)
@@ -373,11 +375,15 @@ def test_explain_needs_the_campaign_header(campaign, tmp_path):
     lambda header: header.update(situation=7),
     lambda header: header.pop("event"),
     lambda header: header.update(event=["x"]),
+    lambda header: header.pop("evaluations"),
+    lambda header: header.update(evaluations="15"),
+    lambda header: header.update(evaluations=16),
 ], ids=["no-config", "config-list", "no-seed", "seed-string", "seed-float",
         "seed-negative", "algorithm-null", "threshold-string",
         "threshold-nan", "threshold-huge", "sigma-nan", "unknown-key",
         "no-sigma", "no-situation", "situation-number", "no-event",
-        "event-list"])
+        "event-list", "no-evaluations", "evaluations-string",
+        "evaluations-mismatch"])
 def test_explain_rejects_a_bad_campaign_header(campaign, edit):
     out = campaign / "camp"
     header = json.loads((out / "campaign.json").read_text())
@@ -493,12 +499,27 @@ def _explain_with_cell(mode_campaign, tmp_path, column, cell):
     ("robustness", "nan"),
     ("label", "non-compliance"),
     ("index", "x"),
+    ("index", "7"),
 ])
 def test_explain_rejects_a_bad_archive_cell(mode_campaign, tmp_path,
                                             column, cell):
     out, result = _explain_with_cell(mode_campaign, tmp_path, column, cell)
     assert result.returncode == 2
     assert "line 4" in result.stderr
+    assert not (out / "tree.json").exists()
+
+
+def test_explain_rejects_an_archive_missing_its_last_row(mode_campaign,
+                                                        tmp_path):
+    out = tmp_path / "camp"
+    shutil.copytree(mode_campaign / "camp", out)
+    lines = (out / "archive.csv").read_text().splitlines(keepends=True)
+    (out / "archive.csv").write_text("".join(lines[:-1]))
+    result = run_cli("explain", out / "archive.csv",
+                     "--model", mode_campaign / "mode.riskml", cwd=tmp_path)
+    assert result.returncode == 2
+    assert "campaign.json" in result.stderr
+    assert "records 15 evaluations, the archive holds 14" in result.stderr
     assert not (out / "tree.json").exists()
 
 
@@ -595,6 +616,44 @@ def test_replay_of_an_infinite_feature_value_judges_nothing(tmp_path):
     assert result.returncode == 1
     assert "non-finite" in result.stderr
     assert not (tmp_path / "out" / "verdict.json").exists()
+
+
+# -- exit codes ---------------------------------------------------------------
+
+
+def _an_error(cls):
+    if cls is RiskmlSyntaxError:
+        return cls("boom", 1, 2)
+    if cls is ModelInvalidError:
+        return cls(["boom"])
+    return cls("boom")
+
+
+@pytest.mark.parametrize("error", [
+    _an_error(cls) for cls in (RiskbenchError, *RiskbenchError.__subclasses__())
+], ids=lambda error: type(error).__name__)
+@pytest.mark.parametrize("command, target", [
+    ("run", "run_campaign"), ("explain", "induce_tree"),
+    ("replay", "simulate")])
+def test_an_error_that_escapes_a_command_exits_with_its_code(
+        mode_campaign, tmp_path, monkeypatch, command, target, error):
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(f"riskbench.cli.{target}", fail)
+    (tmp_path / "point.json").write_text(json.dumps(_POINT))
+    args = {
+        "run": ["--config", mode_campaign / "c.config"],
+        "explain": [mode_campaign / "camp" / "archive.csv",
+                    "--model", mode_campaign / "mode.riskml"],
+        "replay": [tmp_path / "point.json", "--model", MODEL,
+                   "--scenario", SCENARIO],
+    }[command]
+    result = CliRunner().invoke(
+        main, [command, *map(str, args), "--out", str(tmp_path / "out")])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == (2 if isinstance(error, ConfigError) else 1)
+    assert result.stderr == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # -- start-up -----------------------------------------------------------------

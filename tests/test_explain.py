@@ -1,5 +1,6 @@
 """Tree induction, rule extraction, and counterexample sampling."""
 
+import hashlib
 import math
 import random
 
@@ -369,6 +370,57 @@ def test_constraint_text_brackets_follow_strictness():
     assert constraint_text(closed) == "x in [1, 2]"
     cat = Constraint(feature="mode", kind="categorical", values=("a", "b"))
     assert constraint_text(cat) == "mode in {a, b}"
+
+
+def _sweep_dataset(rng):
+    """1-4 columns of any kind whose values include the domain bounds, and
+    rows whose labels follow the first column, with some noise."""
+    columns, pools = [], []
+    for j in range(rng.randint(1, 4)):
+        kind = rng.choice(["continuous", "integer", "categorical"])
+        if kind == "categorical":
+            values = ("a", "b", "c", "d")[:rng.randint(2, 4)]
+            columns.append(DomainFeature(name=f"f{j}", kind=kind,
+                                         values=values))
+            pools.append(list(values))
+        elif kind == "integer":
+            columns.append(DomainFeature(name=f"f{j}", kind=kind,
+                                         lo=-3, hi=9))
+            pools.append([-3, 9] + [rng.randint(-3, 9) for _ in range(6)])
+        else:
+            columns.append(DomainFeature(name=f"f{j}", kind=kind,
+                                         lo=-1.0, hi=4.0))
+            # The midpoint of the last two rounds onto the upper bound.
+            pools.append([-1.0, math.nextafter(4.0, 0.0), 4.0]
+                         + [rng.uniform(-1.0, 4.0) for _ in range(8)])
+    rows = []
+    for _ in range(rng.randint(4, 60)):
+        values = tuple(rng.choice(pool) for pool in pools)
+        first = values[0]
+        bad = (first in ("a", "c") if isinstance(first, str)
+               else first > 1.5)
+        if rng.random() < 0.2:
+            bad = not bad
+        rows.append((values, NC if bad else C))
+    return dataset(columns, rows)
+
+
+# Frozen from a seeded sweep: every leaf of 500 random trees becomes a
+# rule (threshold 0), so each path's tests, right-branch strictness and
+# bounds on the domain edges included, reach the digest.
+_RULES_SHA256 = \
+    "705bc89dceb16143271ef2b9e9740651ebdfc6125240a227a577837640e0b48f"
+
+
+def test_a_random_dataset_sweep_reproduces_its_rules_digest():
+    digest = hashlib.sha256()
+    rng = random.Random(7)
+    for _ in range(500):
+        ds = _sweep_dataset(rng)
+        tree = induce_tree(ds, min_leaf=rng.choice([2, 5]), min_gain=0.0)
+        digest.update(stable_json(rules_to_json(extract_rules(tree, 0.0)))
+                      .encode())
+    assert digest.hexdigest() == _RULES_SHA256
 
 
 # -- counterexamples ------------------------------------------------------------
