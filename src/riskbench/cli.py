@@ -151,7 +151,8 @@ _EVALUATIONS = Field("evaluations", int, lo=1)
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: the campaign's worker processes."""
+    """CPUs this process may run on: the campaign's evaluators, this
+    process among them."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

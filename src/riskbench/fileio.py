@@ -45,3 +45,6 @@ def read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text (byte "
+                          f"{exc.start}: {exc.reason})") from exc

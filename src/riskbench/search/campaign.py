@@ -68,8 +68,8 @@ def run_campaign(model: RiskModel, scenario: Scenario, situation_name: str,
                  sim_seeds: tuple = (11,), workers: int = 1) -> Archive:
     """Search the situation's feature space for violations of one event.
 
-    `workers` processes evaluate the batched algorithms' proposals; the
-    archive does not depend on it.
+    `workers` processes evaluate the proposals, this one among them (see
+    run_search); the archive does not depend on it.
     """
     space = make_feature_space(model, situation_name)
     evaluator = campaign_evaluator(model, scenario, situation_name,

@@ -31,8 +31,8 @@ _IMPORT_FAILURE = re.compile(r"^(ModuleNotFoundError|ImportError): ",
 
 
 def _at_most_two_cpus():
-    # `run` starts one pool worker per CPU it may use; whatever the host,
-    # the tests start at most two.
+    # `run` evaluates on one process per CPU it may use, itself among
+    # them; whatever the host, the tests use at most two.
     os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
 
 

@@ -156,6 +156,23 @@ def test_validate_missing_file_is_an_io_error():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("target", ["model", "config", "scenario", "archive"])
+def test_an_input_that_is_not_utf8_cannot_be_read(campaign, target):
+    bad = campaign / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    (campaign / "point.json").write_text(json.dumps(_POINT))
+    args = {
+        "model": ["validate", "--model", bad],
+        "config": ["run", "--config", bad],
+        "scenario": ["replay", "point.json", "--model", MODEL,
+                     "--scenario", bad],
+        "archive": ["explain", bad, "--model", MODEL],
+    }[target]
+    result = run_cli(*args, cwd=campaign)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: cannot read {bad}: not UTF-8")
+
+
 # -- cases --------------------------------------------------------------------
 
 
@@ -278,8 +295,8 @@ def test_run_rejects_a_bad_config_value(tmp_path, settings, flags, message):
 
 def test_run_matches_the_single_process_campaign(tmp_path, corner_model,
                                                  corner_scenario):
-    # `run` evaluates on one worker per usable CPU (at most two in these
-    # tests, see run_cli);
+    # `run` evaluates on one process per usable CPU, itself among them (at
+    # most two in these tests, see run_cli);
     # seed 9 first violates at evaluation 67, inside the third batch.
     write_config(tmp_path / "c.config", budget=120, seed=9,
                  stop_on_violation="true")
@@ -662,6 +679,17 @@ def test_an_error_that_escapes_a_command_exits_with_its_code(
 def test_importing_the_cli_leaves_numpy_unloaded():
     env = {**os.environ, "PYTHONPATH": _PACKAGE_ROOT}
     probe = "import sys, riskbench.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_importing_the_cli_leaves_the_pool_modules_unloaded():
+    # Only `run` starts a pool, and it imports what the pool needs then.
+    env = {**os.environ, "PYTHONPATH": _PACKAGE_ROOT}
+    probe = ("import sys, riskbench.cli; print(any(name in sys.modules "
+             "for name in ('multiprocessing', 'signal')))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr

@@ -2,7 +2,10 @@
 
 import functools
 import math
+import multiprocessing
+import os
 import pickle
+import signal
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -11,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from riskbench.datafiles import data_text
-from riskbench.errors import ConfigError, DomainError, UnknownNameError
+from riskbench.errors import (ConfigError, DomainError, RiskbenchError,
+                              UnknownNameError)
 from riskbench.riskml import DomainFeature, load_model
 from riskbench.search import (ALGORITHMS, ARCHIVE_FORMAT, SEARCH_FIELDS,
                               FeatureSpace, SearchConfig,
@@ -23,6 +27,7 @@ from riskbench.search import (ALGORITHMS, ARCHIVE_FORMAT, SEARCH_FIELDS,
 from riskbench.search import algorithms
 
 from conftest import just_outside
+from sequential_local_search import run_sequential
 
 SPACE = FeatureSpace(dims=(
     DomainFeature(name="x", kind="continuous", lo=0.0, hi=10.0),
@@ -284,10 +289,11 @@ def _fingerprint(archive):
 @pytest.mark.parametrize("budget", [1, 33, 70])
 def test_worker_counts_give_the_same_archive(algorithm, budget):
     config = SearchConfig(algorithm=algorithm, budget=budget, seed=2)
-    one = run_search(UNIT, sphere, config, workers=1)
-    two = run_search(UNIT, sphere, config, workers=2)
+    one, two, three = (run_search(UNIT, sphere, config, workers=workers)
+                       for workers in (1, 2, 3))
     assert len(one.points) == budget
-    assert _fingerprint(one) == _fingerprint(two)
+    assert _fingerprint(one) == _fingerprint(two) == _fingerprint(three)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("algorithm", ["random", "genetic"])
@@ -326,26 +332,11 @@ def test_an_error_past_the_first_violation_is_never_seen():
         assert _fingerprint(archive) == expected
 
 
-@pytest.mark.parametrize("algorithm,workers", [
-    ("hill_climb", 2), ("simulated_annealing", 2), ("random", 1),
-    ("genetic", 1)])
-def test_sequential_searches_start_no_pool(monkeypatch, algorithm, workers):
-    def no_pool(*args):
-        raise AssertionError("a process pool was started")
-    monkeypatch.setattr(algorithms, "_pool_map", no_pool)
-    config = SearchConfig(algorithm=algorithm, budget=30, seed=1)
-    assert len(run_search(UNIT, sphere, config, workers=workers).points) == 30
-
-
-@pytest.mark.parametrize("config,pool_size", [
-    (SearchConfig(algorithm="random", budget=100), algorithms.BATCH_SIZE),
-    (SearchConfig(algorithm="random", budget=5), 5),
-    (SearchConfig(algorithm="genetic", budget=100, population=6), 6),
-    (SearchConfig(algorithm="random", budget=1), None),
-], ids=["random-batch", "random-budget", "genetic-population", "one-eval"])
-def test_the_pool_is_no_larger_than_a_batch(monkeypatch, config, pool_size):
-    # A stand-in for the pool records the size asked for and evaluates
-    # in-process, so no worker is started whatever size is requested.
+@pytest.fixture()
+def requested_pools(monkeypatch):
+    """The pool sizes run_search asks for. A stand-in for the pool records
+    each and evaluates in-process, so no worker is started whatever size
+    is requested."""
     requested = []
 
     @contextmanager
@@ -353,9 +344,183 @@ def test_the_pool_is_no_larger_than_a_batch(monkeypatch, config, pool_size):
         requested.append(workers)
         yield functools.partial(map, evaluator)
     monkeypatch.setattr(algorithms, "_pool_map", recording_pool)
+    return requested
+
+
+@pytest.mark.parametrize("algorithm,workers,budget,pool_size", [
+    ("random", 1, 30, None),
+    ("genetic", 1, 30, None),
+    ("hill_climb", 1, 30, None),
+    ("simulated_annealing", 1, 30, None),
+    ("hill_climb", 2, 30, 2),
+    ("simulated_annealing", 3, 30, 3),
+    ("hill_climb", 3, 2, 2),
+], ids=["random-1", "genetic-1", "hill_climb-1", "simulated_annealing-1",
+        "hill_climb-2", "simulated_annealing-3", "hill_climb-3-budget-2"])
+def test_the_pool_size_asked_for(requested_pools, algorithm, workers, budget,
+                                 pool_size):
+    # No algorithm starts a pool for one evaluator; hill climbing and
+    # annealing draft one proposal per evaluator, up to the budget.
+    config = SearchConfig(algorithm=algorithm, budget=budget, seed=1)
+    archive = run_search(UNIT, sphere, config, workers=workers)
+    assert len(archive.points) == budget
+    assert requested_pools == ([] if pool_size is None else [pool_size])
+
+
+@pytest.mark.parametrize("config,pool_size", [
+    (SearchConfig(algorithm="random", budget=100), algorithms.BATCH_SIZE),
+    (SearchConfig(algorithm="random", budget=5), 5),
+    (SearchConfig(algorithm="genetic", budget=100, population=6), 6),
+    (SearchConfig(algorithm="random", budget=1), None),
+    (SearchConfig(algorithm="hill_climb", budget=100), 100),
+    (SearchConfig(algorithm="simulated_annealing", budget=5), 5),
+], ids=["random-batch", "random-budget", "genetic-population", "one-eval",
+        "hill-climb-budget", "annealing-budget"])
+def test_the_pool_is_no_larger_than_a_batch(requested_pools, config,
+                                            pool_size):
     archive = run_search(UNIT, sphere, config, workers=1000)
     assert len(archive.points) == config.budget
-    assert requested == ([] if pool_size is None else [pool_size])
+    assert requested_pools == ([] if pool_size is None else [pool_size])
+
+
+# -- speculative drafts ---------------------------------------------------------
+
+
+def bumpy_sphere(assignment):
+    # The sphere with ripples, so that hill climbing stalls and restarts
+    # and annealing accepts worsening moves.
+    u, v = assignment["u"], assignment["v"]
+    return sphere(assignment)[0] + 0.02 * math.sin(23 * u) * math.cos(17 * v), \
+        None
+
+
+def _outcome(run):
+    try:
+        return _fingerprint(run())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(algorithm=st.sampled_from(["hill_climb", "simulated_annealing"]),
+       sigma=st.floats(1e-3, 1.0), t0=st.floats(1e-4, 1.0),
+       alpha=st.floats(0.01, 0.999), stop_on_violation=st.booleans(),
+       budget=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1),
+       workers=st.sampled_from([1, 2, 3]))
+def test_drafts_give_the_sequential_archive(algorithm, sigma, t0, alpha,
+                                            stop_on_violation, budget, seed,
+                                            workers):
+    # At a small alpha the temperature reaches zero within the budget, and
+    # the kernel's division by it raises; the drafts must raise it too.
+    config = SearchConfig(algorithm=algorithm, sigma=sigma, t0=t0,
+                          alpha=alpha, stop_on_violation=stop_on_violation,
+                          budget=budget, seed=seed)
+    expected = _outcome(lambda: run_sequential(UNIT, bumpy_sphere, config))
+    assert _outcome(lambda: run_search(UNIT, bumpy_sphere, config,
+                                       workers=workers)) == expected
+
+
+class StrictEvaluator:
+    """The sphere, failing on any assignment outside an allowed set."""
+
+    def __init__(self, allowed):
+        self.allowed = allowed
+
+    def __call__(self, assignment):
+        if tuple(assignment.values()) not in self.allowed:
+            raise DomainError(f"not in the sequential run: {assignment}")
+        return sphere(assignment)
+
+
+@pytest.mark.parametrize("algorithm", ["hill_climb", "simulated_annealing"])
+def test_an_error_on_a_dropped_proposal_is_never_seen(algorithm):
+    config = SearchConfig(algorithm=algorithm, budget=80, seed=4)
+    expected = run_sequential(UNIT, sphere, config)
+    recorded = {tuple(p.assignment.values()) for p in expected.points}
+    # In-process, with a draft of two: some proposals are drafted past an
+    # accepted move and dropped, so the pool evaluates them too.
+    handed = []
+
+    def evaluate_many(assignments):
+        handed.extend(tuple(a.values()) for a in assignments)
+        return map(sphere, assignments)
+    drafted = algorithms._search(UNIT, config, evaluate_many, width=2)
+    assert _fingerprint(drafted) == _fingerprint(expected)
+    assert set(handed) - recorded
+    strict = StrictEvaluator(recorded)
+    for workers in (2, 3):
+        archive = run_search(UNIT, strict, config, workers=workers)
+        assert _fingerprint(archive) == _fingerprint(expected)
+
+
+class PidError(DomainError):
+    """An error that remembers the process that raised it."""
+
+    def __init__(self, message, pid=None):
+        super().__init__(message)
+        self.pid = os.getpid() if pid is None else pid
+
+    def __reduce__(self):
+        return type(self), (str(self), self.pid)
+
+
+def fragile_in_place(assignment):
+    # fragile_sphere, raising an error that says where it was raised.
+    if assignment["u"] > 0.9:
+        raise PidError(f"u too large: {assignment['u']!r}")
+    return sphere(assignment)
+
+
+@pytest.mark.parametrize("algorithm,seed,workers", [
+    ("hill_climb", 11, 2), ("hill_climb", 0, 3),
+    ("simulated_annealing", 5, 2), ("simulated_annealing", 1, 3)])
+def test_a_worker_error_matches_the_in_process_error(algorithm, seed,
+                                                     workers):
+    # At these seeds the first recorded proposal that fails lands on a
+    # worker process.
+    config = SearchConfig(algorithm=algorithm, budget=200, seed=seed)
+    errors = []
+    for count in (1, workers):
+        with pytest.raises(PidError) as caught:
+            run_search(UNIT, fragile_in_place, config, workers=count)
+        errors.append(caught.value)
+    in_process, pooled = errors
+    assert in_process.pid == os.getpid() != pooled.pid
+    assert str(pooled) == str(in_process)
+    assert multiprocessing.active_children() == []
+
+
+class ExitInWorker:
+    """The sphere in the parent process; a worker process exits at once."""
+
+    def __init__(self):
+        self.parent = os.getpid()
+
+    def __call__(self, assignment):
+        if os.getpid() != self.parent:
+            os._exit(3)
+        return sphere(assignment)
+
+
+@contextmanager
+def _no_longer_than(seconds):
+    def hung(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_worker_that_dies_raises_instead_of_hanging(algorithm):
+    config = SearchConfig(algorithm=algorithm, budget=60, seed=1)
+    with _no_longer_than(60), pytest.raises(RiskbenchError,
+                                            match="exit code 3"):
+        run_search(UNIT, ExitInWorker(), config, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 # -- campaign plumbing --------------------------------------------------------
@@ -403,14 +568,18 @@ def _corner_campaign_csv(model, scenario, config, workers):
     (SearchConfig(algorithm="genetic", budget=40, seed=4), 40),
     (SearchConfig(algorithm="random", budget=120, seed=9,
                   stop_on_violation=True), 67),
-], ids=["random", "genetic", "random-stop-on-violation"])
+    (SearchConfig(algorithm="hill_climb", budget=60, seed=7), 60),
+    (SearchConfig(algorithm="simulated_annealing", budget=60, seed=8,
+                  t0=0.5), 60),
+], ids=["random", "genetic", "random-stop-on-violation", "hill-climb",
+        "annealing"])
 def test_campaign_archive_is_identical_across_worker_counts(
         corner_model, corner_scenario, config, rows):
     # 45 and 40 are no multiple of the random batch or the generation, and
     # seed 9 first violates at evaluation 67, inside the third batch.
     texts = [_corner_campaign_csv(corner_model, corner_scenario, config,
-                                  workers) for workers in (1, 2)]
-    assert texts[0] == texts[1]
+                                  workers) for workers in (1, 2, 3)]
+    assert texts[0] == texts[1] == texts[2]
     assert len(texts[0].strip().split("\n")) == rows + 1
 
 
