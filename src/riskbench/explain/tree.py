@@ -7,20 +7,29 @@ Ties break toward the lower feature index, then the lower threshold (for
 categoricals: the earlier declared category). No pruning; growth stops on
 depth, node size, purity, or a gain floor.
 
-Split search is CART's presort-and-sweep (Breiman et al., 1984): each
-numeric column is sorted once per node and swept with running class
-counts, and each categorical column is counted in one pass, so a node
-with n rows and d columns costs O(d·n log n).
+Split search is CART's presort-and-sweep (Breiman et al., 1984) on numpy
+arrays. The dataset is packed once: a float64 array per numeric column,
+category codes per categorical column, a bool array of non-compliant
+labels. Each node holds an index array of its rows. Per node, each numeric
+column is sorted and swept with cumulative class counts, and each
+categorical column is counted with `bincount`, so a node with n rows and
+d columns costs O(d·n log n) in a fixed number of array operations.
+
+The search uses only +, -, ×, ÷ and comparisons, which IEEE 754 rounds
+alike in numpy and in Python, and evaluates the gain in one fixed order,
+so the trees equal bit for bit those of the same sweep over Python row
+tuples (kept as a test oracle). An integer value is exact in float64
+only within ±2^53, so a larger one is refused. numpy is imported when
+the dataset is packed for its first split search: a dataset of one
+label never loads it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 from ..errors import DomainError, UnknownNameError
-from ..riskml.model import CATEGORICAL
+from ..riskml.model import CATEGORICAL, EXACT_INT, INTEGER
 from ..sim.events import LABEL_NON_COMPLIANCE
 from .dataset import LabeledDataset
 
@@ -71,107 +80,134 @@ class DecisionTree:
     min_gain: float
 
 
-def _gini(n_compliance: int, n_non_compliance: int) -> float:
+def _gini(n_compliance, n_non_compliance):
+    """Gini impurity of a nonempty node; the counts are ints or int arrays."""
     total = n_compliance + n_non_compliance
-    if total == 0:
-        return 0.0
     p_c = n_compliance / total
     p_nc = n_non_compliance / total
     return 1.0 - p_c * p_c - p_nc * p_nc
 
 
-def _counts(rows) -> tuple:
-    nc = sum(1 for _, label in rows if label == LABEL_NON_COMPLIANCE)
-    return len(rows) - nc, nc
+class _Table:
+    """A dataset packed for the split search: per column a float64 array
+    (numeric) or the index of each value in the declared categories
+    (categorical; an undeclared value gets the index past the last), and
+    a bool array that marks the non-compliant rows."""
 
+    def __init__(self, columns, rows):
+        import numpy as np
+        self.columns = columns
+        self.arrays = []
+        for idx, column in enumerate(columns):
+            cells = [values[idx] for values, _ in rows]
+            if column.kind == CATEGORICAL:
+                code = {}
+                for i, category in enumerate(column.values):
+                    code.setdefault(category, i)
+                other = len(column.values)
+                cells = [code.get(cell, other) for cell in cells]
+                self.arrays.append(np.array(cells, dtype=np.intp))
+                continue
+            if column.kind == INTEGER and cells and (
+                    min(cells) < -EXACT_INT or max(cells) > EXACT_INT):
+                raise DomainError(f"feature {column.name!r} holds an integer "
+                                  f"beyond 2^53 in magnitude")
+            self.arrays.append(np.array(cells, dtype=np.float64))
+        self.is_nc = np.array([label == LABEL_NON_COMPLIANCE
+                               for _, label in rows], dtype=bool)
+        self.every_row = np.arange(len(rows))
 
-def _numeric_partitions(rows, idx):
-    """(threshold, n_left, nc_left) at each boundary between distinct
-    values, thresholds ascending; left is every row with value <= threshold.
+    def best_split(self, rows):
+        """(split, left mask over `rows`) of the highest-Gini-gain test over
+        every column, or None if nothing splits.
 
-    The threshold is the midpoint of the two values. When they are adjacent
-    floats it can round up onto the larger one, so the left count comes
-    from the threshold, not from the boundary position.
-    """
-    ordered = sorted((values[idx], label == LABEL_NON_COMPLIANCE)
-                     for values, label in rows)
-    keys = [value for value, _ in ordered]
-    nc_before = list(accumulate((is_nc for _, is_nc in ordered), initial=0))
-    for i in range(1, len(keys)):
-        a, b = keys[i - 1], keys[i]
-        if a == b:
-            continue
-        threshold = (a + b) / 2.0
-        n_left = bisect_right(keys, threshold)
-        yield threshold, n_left, nc_before[n_left]
+        Candidates are scanned by feature index and then ascending, and the
+        first of equal gains is kept, which yields the documented
+        tie-breaking.
+        """
+        import numpy as np
+        is_nc = self.is_nc[rows]
+        total = len(rows)
+        parent_nc = int(np.count_nonzero(is_nc))
+        if parent_nc in (0, total):     # one label, or no row
+            return None
+        parent_gini = _gini(total - parent_nc, parent_nc)
 
+        best = None
+        for idx, column in enumerate(self.columns):
+            values = self.arrays[idx][rows]
+            if column.kind == CATEGORICAL:
+                k = len(column.values)
+                n_left = np.bincount(values, minlength=k)[:k]
+                nc_left = np.bincount(values[is_nc], minlength=k)[:k]
+                candidates = np.arange(k)
+            else:
+                order = np.argsort(values, kind="stable")
+                keys = values[order]
+                nc_before = np.concatenate(([0], np.cumsum(is_nc[order])))
+                upper = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+                # The midpoint of two adjacent floats can round onto the
+                # larger one, so the left count comes from the threshold,
+                # not from the boundary position; a sum past the float
+                # range gives inf, as in Python, which splits nothing.
+                with np.errstate(over="ignore"):
+                    candidates = (keys[upper - 1] + keys[upper]) / 2.0
+                n_left = np.searchsorted(keys, candidates, side="right")
+                nc_left = nc_before[n_left]
+            keep = (n_left > 0) & (n_left < total)
+            if not keep.any():
+                continue
+            n_left, nc_left = n_left[keep], nc_left[keep]
+            n_right = total - n_left
+            right_nc = parent_nc - nc_left
+            gains = parent_gini \
+                - (n_left / total) * _gini(n_left - nc_left, nc_left) \
+                - (n_right / total) * _gini(n_right - right_nc, right_nc)
+            pick = int(np.argmax(gains))
+            gain = float(gains[pick])
+            if best is None or gain > best[0]:
+                best = (gain, idx, candidates[keep][pick])
 
-def _categorical_partitions(rows, idx, column):
-    """(category, n_left, nc_left) for each declared category in order."""
-    n = {category: 0 for category in column.values}
-    nc = dict(n)
-    for values, label in rows:
-        value = values[idx]
-        if value in n:
-            n[value] += 1
-            nc[value] += label == LABEL_NON_COMPLIANCE
-    for category in column.values:
-        yield category, n[category], nc[category]
+        if best is None:
+            return None
+        gain, idx, candidate = best
+        column = self.columns[idx]
+        values = self.arrays[idx][rows]
+        if column.kind == CATEGORICAL:
+            threshold = column.values[candidate]
+            goes_left = values == candidate
+        else:
+            threshold = float(candidate)
+            goes_left = values <= threshold
+        return Split(feature_index=idx, feature_name=column.name,
+                     kind=column.kind, threshold=threshold,
+                     gain=gain), goes_left
 
 
 def best_split(rows, columns) -> Split | None:
-    """Highest-Gini-gain test over every column, or None if nothing splits.
-
-    Scanning order (feature index ascending, candidates ascending) plus
-    strictly-greater comparison yields the documented tie-breaking.
-    """
-    if len(rows) < 2:
-        return None
-    parent_c, parent_nc = _counts(rows)
-    if parent_c == 0 or parent_nc == 0:
-        return None
-    parent_gini = _gini(parent_c, parent_nc)
-    total = len(rows)
-
-    best: Split | None = None
-    for idx, column in enumerate(columns):
-        if column.kind == CATEGORICAL:
-            partitions = _categorical_partitions(rows, idx, column)
-        else:
-            partitions = _numeric_partitions(rows, idx)
-        for candidate, n_left, left_nc in partitions:
-            n_right = total - n_left
-            if n_left == 0 or n_right == 0:
-                continue
-            left_c = n_left - left_nc
-            right_nc = parent_nc - left_nc
-            right_c = n_right - right_nc
-            gain = parent_gini \
-                - (n_left / total) * _gini(left_c, left_nc) \
-                - (n_right / total) * _gini(right_c, right_nc)
-            if best is None or gain > best.gain:
-                best = Split(feature_index=idx, feature_name=column.name,
-                             kind=column.kind, threshold=candidate, gain=gain)
-    return best
+    """Highest-Gini-gain test over every column of (values, label) rows,
+    or None if nothing splits."""
+    table = _Table(columns, rows)
+    found = table.best_split(table.every_row)
+    return found[0] if found else None
 
 
-def _grow(rows, columns, depth, max_depth, min_leaf, min_gain) -> TreeNode:
-    n_c, n_nc = _counts(rows)
+def _grow(table, rows, depth, max_depth, min_leaf, min_gain) -> TreeNode:
+    n_nc = int(table.is_nc[rows].sum())
+    n_c = len(rows) - n_nc
     leaf = TreeNode(split=None, count_compliance=n_c, count_non_compliance=n_nc)
     if depth >= max_depth or len(rows) < min_leaf or n_c == 0 or n_nc == 0:
         return leaf
-    split = best_split(rows, columns)
-    if split is None or split.gain < min_gain:
+    found = table.best_split(rows)
+    if found is None or found[0].gain < min_gain:
         return leaf
-    left_rows, right_rows = [], []
-    for row in rows:
-        side = left_rows if split.goes_left(row[0][split.feature_index]) \
-            else right_rows
-        side.append(row)
+    split, goes_left = found
     return TreeNode(
         split=split,
-        left=_grow(left_rows, columns, depth + 1, max_depth, min_leaf, min_gain),
-        right=_grow(right_rows, columns, depth + 1, max_depth, min_leaf, min_gain),
+        left=_grow(table, rows[goes_left], depth + 1, max_depth, min_leaf,
+                   min_gain),
+        right=_grow(table, rows[~goes_left], depth + 1, max_depth, min_leaf,
+                    min_gain),
         count_compliance=n_c,
         count_non_compliance=n_nc,
     )
@@ -182,8 +218,16 @@ def induce_tree(dataset: LabeledDataset, max_depth: int = DEFAULT_MAX_DEPTH,
                 min_gain: float = DEFAULT_MIN_GAIN) -> DecisionTree:
     if not dataset.rows:
         raise DomainError("cannot induce a tree from an empty dataset")
-    root = _grow(list(dataset.rows), dataset.columns, 0,
-                 max_depth, min_leaf, min_gain)
+    n_nc = sum(label == LABEL_NON_COMPLIANCE for _, label in dataset.rows)
+    if n_nc in (0, len(dataset.rows)):
+        # One label: the root is a leaf, and numpy is never imported.
+        root = TreeNode(split=None,
+                        count_compliance=len(dataset.rows) - n_nc,
+                        count_non_compliance=n_nc)
+    else:
+        table = _Table(dataset.columns, dataset.rows)
+        root = _grow(table, table.every_row, 0, max_depth, min_leaf,
+                     min_gain)
     return DecisionTree(root=root, columns=dataset.columns,
                         n_rows=len(dataset.rows), max_depth=max_depth,
                         min_leaf=min_leaf, min_gain=min_gain)

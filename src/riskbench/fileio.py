@@ -30,6 +30,9 @@ def atomic_write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        # mkstemp creates the file mode 0600; give the artifact the mode
+        # open() would, 0666 less the umask.
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -37,6 +40,14 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _umask() -> int:
+    # The umask can only be read by setting it: set the strictest one for
+    # that instant, and put it straight back.
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
 
 
 def read_text(path: str) -> str:

@@ -19,6 +19,9 @@ CONTINUOUS = "continuous"
 INTEGER = "integer"
 CATEGORICAL = "categorical"
 
+# Every integer of at most this magnitude is exact in a float64.
+EXACT_INT = 2 ** 53
+
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
@@ -58,12 +61,14 @@ class DomainFeature:
     def contains(self, value) -> bool:
         if self.kind == CATEGORICAL:
             return value in self.values
+        if isinstance(value, int):
+            # Compared exactly: float() rounds an int past 2^53.
+            return self.lo <= value <= self.hi
         try:
             v = float(value)
         except (TypeError, ValueError, OverflowError):
             return False
-        if self.kind == INTEGER and not (isinstance(value, int)
-                                         or v.is_integer()):
+        if self.kind == INTEGER and not v.is_integer():
             return False
         return self.lo <= v <= self.hi
 
@@ -218,6 +223,9 @@ def validate(model: RiskModel) -> list[Diagnostic]:
                 diag("feature", f.name, f"non-finite bound: [{f.lo}, {f.hi}]")
             elif not (f.lo < f.hi):
                 diag("feature", f.name, f"empty domain: [{f.lo}, {f.hi}]")
+            elif f.kind == INTEGER and max(-f.lo, f.hi) > EXACT_INT:
+                diag("feature", f.name, f"integer bound beyond 2^53 in "
+                                        f"magnitude: [{f.lo}, {f.hi}]")
         if not f.binding:
             diag("feature", f.name, "missing scenario binding")
 

@@ -174,7 +174,11 @@ class _Parser:
         value = self.expect_number()
         if not value.is_integer():
             self.error(f"{what} must be an integer, got {tok.value}", tok)
-        return int(value)
+        try:
+            # Exact, where float() would round an integer past 2^53.
+            return int(tok.value)
+        except ValueError:      # written with a point or an exponent
+            return int(value)
 
     def expect_string(self) -> str:
         return self.expect("STRING", expected=("a quoted string",)).value

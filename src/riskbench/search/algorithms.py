@@ -405,8 +405,13 @@ def _local_search(driver: _Driver, rng, annealing: bool) -> None:
                 state = moved
             elif not restart:
                 delta = fy - fx
-                arg = -delta / temperature
-                accept_p = math.exp(arg) if (annealing and arg > -700.0) else 0.0
+                if temperature > 0.0:
+                    arg = -delta / temperature
+                    accept_p = math.exp(arg) if (annealing and arg > -700.0) else 0.0
+                else:
+                    # The temperature underflowed to 0.0: the T -> 0+ limit of
+                    # exp(-delta / T) accepts an equal robustness only.
+                    accept_p = 1.0 if delta == 0.0 else 0.0
                 accepted = annealing and draw < accept_p
             if restart or accepted:
                 x, fx, rejections = y, fy, 0

@@ -4,6 +4,8 @@ that speculative drafts must reproduce decision for decision.
 `_local_search` is copied verbatim from the kernel that evaluated one
 proposal at a time, before drafts; it is kept here, outside the package,
 so that a change to the package cannot change the reference with it.
+The zero-temperature branch of the acceptance rule was added to the
+package and to this copy at once.
 """
 
 import functools
@@ -62,8 +64,13 @@ def _local_search(driver: _Driver, rng, annealing: bool) -> None:
             else:
                 draw = rng.random()
                 delta = fy - fx
-                arg = -delta / temperature
-                accept_p = math.exp(arg) if (annealing and arg > -700.0) else 0.0
+                if temperature > 0.0:
+                    arg = -delta / temperature
+                    accept_p = math.exp(arg) if (annealing and arg > -700.0) else 0.0
+                else:
+                    # The temperature underflowed to 0.0: the T -> 0+ limit of
+                    # exp(-delta / T) accepts an equal robustness only.
+                    accept_p = 1.0 if delta == 0.0 else 0.0
                 if annealing and draw < accept_p:
                     x, fx = y, fy
                     rejections = 0

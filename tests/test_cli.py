@@ -15,7 +15,7 @@ from riskbench.cli import main
 from riskbench.datafiles import data_path
 from riskbench.errors import (ConfigError, ModelInvalidError, RiskbenchError,
                               RiskmlSyntaxError)
-from riskbench.fileio import read_text
+from riskbench.fileio import atomic_write_text, read_text
 from riskbench.search import (SearchConfig, archive_to_csv,
                               make_feature_space, run_campaign)
 from riskbench.sim.scenario import SCENARIO_FIELDS
@@ -149,6 +149,15 @@ def test_validate_rejects_any_binding_mismatch(tmp_path, mismatch):
     assert result.exit_code == 1, result.output
     assert "feature 'illuminance': " in result.output
     assert path in result.output
+
+
+def test_validate_rejects_an_integer_bound_a_float_cannot_hold(tmp_path):
+    bad = tmp_path / "bad.riskml"
+    bad.write_text(MODEL.read_text() + "feature n integer "
+                   "[0, 9007199254740993] count binds belt.object_count\n")
+    result = run_cli("validate", "--model", bad)
+    assert result.returncode == 1
+    assert "feature 'n': integer bound beyond 2^53" in result.stderr
 
 
 def test_validate_missing_file_is_an_io_error():
@@ -288,6 +297,16 @@ def test_run_rejects_a_bad_config_value(tmp_path, settings, flags, message):
     assert result.returncode == 2
     assert message in result.stderr
     assert not (tmp_path / "camp").exists()
+
+
+def test_annealing_runs_on_past_a_temperature_of_zero(tmp_path):
+    # At alpha 0.01 the temperature underflows to 0.0 within 200
+    # evaluations.
+    write_config(tmp_path / "c.config", algorithm="simulated_annealing",
+                 alpha=0.01, budget=200, seed=7)
+    result = run_cli("run", "--config", "c.config", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "camp" / "archive.csv").read_text().count("\n") == 201
 
 
 # -- run on a process pool ----------------------------------------------------
@@ -696,6 +715,23 @@ def test_importing_the_cli_leaves_the_pool_modules_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_explain_of_a_single_label_archive_leaves_numpy_unloaded(tmp_path):
+    # This seeded 15-point campaign finds no violation: the tree is one
+    # leaf, and no rule asks for counterexamples.
+    write_config(tmp_path / "c.config", seed=0)
+    assert run_cli("run", "--config", "c.config", cwd=tmp_path).returncode == 0
+    env = {**os.environ, "PYTHONPATH": _PACKAGE_ROOT}
+    probe = ("import atexit, sys; atexit.register(lambda: print('numpy' in "
+             "sys.modules)); from riskbench.cli import main; main()")
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "explain", "camp/archive.csv",
+         "--model", str(MODEL)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "no rules met" in (tmp_path / "camp" / "rules.txt").read_text()
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_validate_cases_and_replay_run_without_numpy(tmp_path):
     # A numpy that cannot be imported: any command that imports it fails,
     # and run_cli reports the ImportError.
@@ -711,3 +747,16 @@ def test_validate_cases_and_replay_run_without_numpy(tmp_path):
         result = run_cli(*args, cwd=tmp_path, pythonpath=[stub.parent])
         assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "verdict.json").exists()
+
+
+# -- artifacts ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_take_the_mode_the_umask_allows(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        atomic_write_text(str(tmp_path / "out" / "a.json"), "{}\n")
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "out" / "a.json").stat().st_mode & 0o777 == mode

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -18,10 +19,12 @@ from riskbench.explain import (DEFAULT_MIN_GAIN, DEFAULT_MIN_LEAF, Constraint,
                                rules_to_json, tree_to_json)
 from riskbench.fileio import stable_json
 from riskbench.riskml import DomainFeature
-from riskbench.riskml.model import CATEGORICAL
+from riskbench.riskml.model import CATEGORICAL, EXACT_INT
 from riskbench.sim.events import LABEL_NON_COMPLIANCE
 from riskbench.search import FeatureSpace
 from riskbench.search.algorithms import Archive
+
+from presort_sweep_tree import _grow as sweep_grow
 
 C, NC = "compliance", "non_compliance"
 
@@ -76,6 +79,13 @@ def test_no_split_when_labels_are_pure():
 def test_no_split_on_a_constant_column():
     rows = [((2.0,), C), ((2.0,), NC)]
     assert best_split(rows, (F0,)) is None
+
+
+def test_an_integer_a_float_cannot_hold_is_refused():
+    big = DomainFeature(name="n", kind="integer", lo=0, hi=2 ** 60)
+    rows = [((EXACT_INT,), C), ((EXACT_INT + 1,), NC)]
+    with pytest.raises(DomainError, match="beyond 2\\^53"):
+        induce_tree(dataset((big,), rows))
 
 
 # -- tree induction ------------------------------------------------------------
@@ -241,18 +251,22 @@ for _ in range(3):
     ADJACENT.append(math.nextafter(ADJACENT[-1], 2.0))
 
 
-@st.composite
-def mixed_datasets(draw):
-    """Continuous, integer and categorical columns with heavy duplicates and
-    label ties; rows are drawn from a seeded generator so they can number
-    in the hundreds."""
-    kinds = draw(st.lists(st.sampled_from(["continuous", "integer",
-                                           "categorical"]),
-                          min_size=1, max_size=3))
-    n_rows = draw(st.integers(min_value=1, max_value=300))
-    distinct = draw(st.integers(min_value=1, max_value=40))
-    noise = draw(st.floats(min_value=0.0, max_value=0.5))
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+# Scales of continuous columns: tiny, unit, wide, and the whole float
+# range, where the sum of two values can overflow and their midpoint is
+# inf.
+SCALES = [1e-300, 10.0, 1e300, sys.float_info.max]
+# Lowest values of integer columns: small, and runs from -2^53 up and up
+# to 2^53, the extreme integers a float64 holds exactly, where the
+# midpoint of two neighbours rounds onto one of them.
+INTEGER_LOWS = [0, -EXACT_INT, EXACT_INT - 20]
+
+
+def mixed_dataset(rng, kinds, n_rows, distinct, noise):
+    """Continuous, integer and categorical columns with heavy duplicates
+    and label ties: `distinct` values per continuous column besides
+    ±0.0, adjacent floats and the column's scale, up to 21 per integer
+    column, 3 of 4 declared categories. The label follows the first column,
+    flipped with probability `noise`."""
     columns, pools = [], []
     for j, kind in enumerate(kinds):
         if kind == "categorical":
@@ -260,24 +274,45 @@ def mixed_datasets(draw):
                                          values=("a", "b", "c", "d")))
             pools.append(["a", "b", "c"])
         elif kind == "integer":
+            lo = rng.choice(INTEGER_LOWS)
             columns.append(DomainFeature(name=f"f{j}", kind=kind,
-                                         lo=0, hi=20))
-            pools.append(list(range(min(distinct, 21))))
+                                         lo=lo, hi=lo + 20))
+            pools.append([lo + 20] + list(range(lo, lo + min(distinct, 21))))
         else:
+            scale = rng.choice(SCALES)
             columns.append(DomainFeature(name=f"f{j}", kind=kind,
-                                         lo=0.0, hi=10.0))
-            pools.append(ADJACENT + [rng.uniform(0.0, 10.0)
-                                     for _ in range(distinct)])
+                                         lo=-scale, hi=scale))
+            pools.append(
+                [0.0, -0.0, scale, math.nextafter(scale, 0.0)]
+                + [x for x in ADJACENT if x <= scale]
+                + [scale * (2.0 * rng.random() - 1.0)
+                   for _ in range(distinct)])
+    first_cut = sorted(pools[0])[len(pools[0]) // 2]
     rows = []
     for _ in range(n_rows):
         values = tuple(rng.choice(pool) for pool in pools)
         first = values[0]
         bad = (first in ("a", "b") if isinstance(first, str)
-               else first > 3.0)
+               else first > first_cut)
         if rng.random() < noise:
             bad = not bad
         rows.append((values, NC if bad else C))
     return dataset(columns, rows)
+
+
+KINDS = ["continuous", "integer", "categorical"]
+
+
+@st.composite
+def mixed_datasets(draw):
+    """`mixed_dataset`s of up to 300 rows, drawn from a seeded generator so
+    that they can number in the hundreds."""
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))
+    n_rows = draw(st.integers(min_value=1, max_value=300))
+    distinct = draw(st.integers(min_value=1, max_value=40))
+    noise = draw(st.floats(min_value=0.0, max_value=0.5))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return mixed_dataset(rng, kinds, n_rows, distinct, noise)
 
 
 @pytest.mark.parametrize("min_leaf, min_gain", [
@@ -292,6 +327,24 @@ def test_tree_equals_the_rescanning_oracle(ds, min_leaf, min_gain):
                           min_gain=min_gain)
     assert stable_json(tree_to_json(tree)) == \
         stable_json(tree_to_json(oracle))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tree_equals_the_presort_sweep_on_2000_rows(seed):
+    # The rescanning oracle is too slow at this size; the plain-Python
+    # presort-and-sweep that the array search replaced is not.
+    rng = random.Random(seed)
+    kinds = [rng.choice(KINDS) for _ in range(rng.randint(3, 6))]
+    ds = mixed_dataset(rng, kinds, 2000, rng.randint(20, 400),
+                       rng.uniform(0.0, 0.3))
+    for min_leaf, min_gain in [(DEFAULT_MIN_LEAF, DEFAULT_MIN_GAIN), (2, 0.0)]:
+        tree = induce_tree(ds, min_leaf=min_leaf, min_gain=min_gain)
+        root = sweep_grow(list(ds.rows), ds.columns, 0, tree.max_depth,
+                          min_leaf, min_gain)
+        assert stable_json(tree_to_json(tree)) == stable_json(tree_to_json(
+            DecisionTree(root=root, columns=ds.columns, n_rows=len(ds.rows),
+                         max_depth=tree.max_depth, min_leaf=min_leaf,
+                         min_gain=min_gain)))
 
 
 # -- rules ---------------------------------------------------------------------

@@ -131,6 +131,24 @@ def test_an_interval_feature_holds_no_non_number(kind, value):
     assert not DomainFeature("f", kind, lo=0, hi=5).contains(value)
 
 
+def test_an_integer_feature_compares_an_int_exactly():
+    feature = DomainFeature("n", INTEGER, lo=0, hi=2 ** 53)
+    assert feature.contains(2 ** 53)
+    assert not feature.contains(2 ** 53 + 1)
+
+
+@pytest.mark.parametrize("domain, flagged", [
+    ("[-9007199254740992, 9007199254740992]", False),
+    ("[0, 9007199254740993]", True),
+    ("[-9007199254740993, 0]", True),
+    ("[0, 1e300]", True),
+])
+def test_integer_bounds_past_2_to_the_53_flagged(domain, flagged):
+    out = _diagnostics(f"feature n integer {domain} count binds belt.count")
+    assert any(d.element == "n" and "beyond 2^53" in d.message
+               for d in out) == flagged
+
+
 def test_duplicate_names_flagged():
     # The parser refuses duplicates outright; the validator catches the
     # same mistake in models assembled in code.
