@@ -26,19 +26,38 @@ import click
 
 from .errors import (ConfigError, DomainError, RiskbenchError,
                      RiskmlSyntaxError, UnknownNameError)
-from .explain import (dataset_from_rows, estimate_event_likelihood,
-                      extract_rules, generate_counterexamples, induce_tree,
-                      rules_report, rules_to_json, tree_to_json)
 from .fileio import atomic_write_text, read_text, sha256_text, stable_json
 from .kvdoc import Field, read_kv
-from .riskml import (annotate_likelihoods, cases_to_json,
-                     derive_assurance_cases, parse_risk_model,
-                     serialize_model, validate)
-from .search import (ARCHIVE_FORMAT, SEARCH_FIELDS, SearchConfig,
-                     archive_header, archive_to_csv, make_feature_space,
-                     parse_archive_csv, run_campaign)
-from .sim import (LABEL_NON_COMPLIANCE, bind_assignment, check_bindings,
-                  evaluate_events, load_scenario, simulate, trace_to_csv)
+from .lazy import lazy_exports
+from .riskml.model import annotate_likelihoods, validate
+from .riskml.parser import parse_risk_model
+from .sim.scenario import check_bindings, load_scenario
+
+# What only some commands use. A command binds the names it calls here
+# (`_load`) before it runs, so `validate` never loads the simulator, the
+# search or numpy. Patches on this module, by tests or a tracer, replace
+# what the commands call.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".explain": ("dataset_from_rows", "estimate_event_likelihood",
+                 "extract_rules", "generate_counterexamples", "induce_tree",
+                 "rules_report", "rules_to_json", "tree_to_json"),
+    ".riskml": ("cases_to_json", "derive_assurance_cases",
+                "serialize_model"),
+    ".search": ("ARCHIVE_FORMAT", "SEARCH_FIELDS", "SearchConfig",
+                "archive_header", "archive_to_csv", "make_feature_space",
+                "parse_archive_csv", "run_campaign"),
+    ".sim": ("LABEL_NON_COMPLIANCE", "bind_assignment", "evaluate_events",
+             "simulate", "trace_to_csv"),
+})
+
+
+def _load(*names) -> None:
+    """Bind each lazy name in this module's namespace; one already bound,
+    by an earlier command or a patch, stays as it is."""
+    module = sys.modules[__name__]
+    for name in names:
+        getattr(module, name)
+
 
 EXIT_INVALID = 1
 EXIT_CONFIG = 2
@@ -127,6 +146,7 @@ def cmd_validate(model_path):
               type=click.Path(), help="Output JSON file.")
 def cmd_cases(model_path, out_path):
     """Derive assurance-case skeletons from MODEL."""
+    _load("derive_assurance_cases", "cases_to_json")
     model, _ = _load_model_file(model_path)
     cases = derive_assurance_cases(model)
     if not cases:
@@ -136,14 +156,9 @@ def cmd_cases(model_path, out_path):
     click.echo(f"{len(cases)} assurance case(s) -> {out_path}")
 
 
-# The config's typed keys, and its paths and names. The search config's
-# own keys are checked when the search starts, after `run` has turned a
-# budget below 1 into exit 3.
 _THRESHOLD = Field("threshold", float, lo=0.0, hi=1.0)
-_CONFIG_FIELDS = {**SEARCH_FIELDS, "threshold": _THRESHOLD,
-                  "sim_seed": Field("sim_seed", int)}
-_CONFIG_KEYS = set(_CONFIG_FIELDS) | {"model", "scenario", "situation",
-                                      "event", "out"}
+# The keys of a campaign config besides its typed ones.
+_CONFIG_NAMES = {"model", "scenario", "situation", "event", "out"}
 # The names a campaign.json header carries besides its config, and its
 # row count.
 _HEADER_NAMES = (Field("situation", str), Field("event", str))
@@ -169,9 +184,16 @@ def _usable_cpus() -> int:
               help="Evaluation budget (overrides config).")
 def cmd_run(config_path, out_dir, seed, budget):
     """Run a falsification campaign and persist its archive."""
+    _load("SEARCH_FIELDS", "SearchConfig", "run_campaign",
+          "make_feature_space", "archive_header", "archive_to_csv")
+    # The config's typed keys. The search config's own keys are checked
+    # when the search starts, after `run` has turned a budget below 1 into
+    # exit 3.
+    config_fields = {**SEARCH_FIELDS, "threshold": _THRESHOLD,
+                     "sim_seed": Field("sim_seed", int)}
     raw = read_kv(read_text(config_path), source=config_path)
     config_dir = Path(config_path).resolve().parent
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(config_fields) - _CONFIG_NAMES
     if unknown:
         _fail(EXIT_CONFIG,
               f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -206,7 +228,7 @@ def cmd_run(config_path, out_dir, seed, budget):
 
     try:
         values = {key: f.parse(raw[key])
-                  for key, f in _CONFIG_FIELDS.items() if key in raw}
+                  for key, f in config_fields.items() if key in raw}
         threshold = values.pop("threshold", DEFAULT_THRESHOLD)
         sim_seed = values.pop("sim_seed", DEFAULT_SIM_SEED)
         _THRESHOLD.check(threshold)
@@ -293,6 +315,11 @@ def _check_header(header, header_file: Path):
               help="Output directory (default: the archive's directory).")
 def cmd_explain(archive_path, model_path, threshold, out_dir):
     """Explain ARCHIVE_PATH: tree, rules, counterexamples, likelihoods."""
+    _load("ARCHIVE_FORMAT", "SEARCH_FIELDS", "SearchConfig",
+          "make_feature_space", "parse_archive_csv", "dataset_from_rows",
+          "induce_tree", "extract_rules", "generate_counterexamples",
+          "estimate_event_likelihood", "LABEL_NON_COMPLIANCE",
+          "tree_to_json", "rules_report", "rules_to_json", "serialize_model")
     if threshold is not None:
         try:
             _THRESHOLD.check(threshold)
@@ -393,6 +420,7 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
               help="Output directory.")
 def cmd_replay(assignment_path, model_path, scenario_path, seed, out_dir):
     """Simulate one feature assignment (JSON object) and judge it."""
+    _load("bind_assignment", "simulate", "evaluate_events", "trace_to_csv")
     model, _ = _load_model_file(model_path)
     scenario, _ = _load_scenario_file(scenario_path)
     assignment = _read_json(assignment_path)

@@ -7,7 +7,6 @@ never leaves a half-written artifact behind.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -16,6 +15,9 @@ from .errors import ConfigError
 
 
 def sha256_text(text: str) -> str:
+    # Imported here: loading OpenSSL's hashes takes milliseconds, and
+    # `validate` and `cases` never hash.
+    import hashlib
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

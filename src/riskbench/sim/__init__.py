@@ -1,15 +1,22 @@
-"""Deterministic collaborative-cell simulator and event evaluation."""
+"""Deterministic collaborative-cell simulator and event evaluation.
 
-from .engine import (CONTACT_EPSILON, TRACE_COLUMNS, Trace, TraceMetrics,
-                     protective_distance, simulate, trace_to_csv)
-from .events import (LABEL_COMPLIANCE, LABEL_NON_COMPLIANCE, EventOutcome,
-                     Verdict, condition_robustness, evaluate_events,
-                     verdict_from_robustness)
-from .perception import (detection_probability, illuminance_gate,
-                         in_field_of_view, occlusion_fraction)
-from .scenario import (MODE_MONITORED_STOP, MODE_SSM, Scenario,
-                       bind_assignment, check_bindings, dump_scenario,
-                       load_scenario, scenario_with, validate_scenario)
+Each public name loads its submodule on first use (see `riskbench.lazy`).
+"""
+
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".engine": ("CONTACT_EPSILON", "TRACE_COLUMNS", "Trace", "TraceMetrics",
+                "protective_distance", "simulate", "trace_to_csv"),
+    ".events": ("LABEL_COMPLIANCE", "LABEL_NON_COMPLIANCE", "EventOutcome",
+                "Verdict", "condition_robustness", "evaluate_events",
+                "verdict_from_robustness"),
+    ".perception": ("detection_probability", "illuminance_gate",
+                    "in_field_of_view", "occlusion_fraction"),
+    ".scenario": ("MODE_MONITORED_STOP", "MODE_SSM", "Scenario",
+                  "bind_assignment", "check_bindings", "dump_scenario",
+                  "load_scenario", "scenario_with", "validate_scenario"),
+})
 
 __all__ = [
     "CONTACT_EPSILON", "TRACE_COLUMNS", "Trace", "TraceMetrics",

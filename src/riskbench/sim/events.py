@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from ..errors import DomainError, UnknownNameError
 from ..riskml.model import NEGATIVE, Condition, RiskModel, Situation
-from .engine import Trace, TraceMetrics
 
 LABEL_COMPLIANCE = "compliance"
 LABEL_NON_COMPLIANCE = "non_compliance"
@@ -78,6 +77,9 @@ def evaluate_events(trace, model: RiskModel, situation: Situation) -> Verdict:
     Accepts a Trace or bare TraceMetrics; verdict_from_robustness labels
     the episode.
     """
+    # Imported here: explaining an archive reads the labels above, not
+    # the simulator.
+    from .engine import Trace, TraceMetrics
     if isinstance(trace, Trace):
         metrics = trace.metrics.as_dict()
     elif isinstance(trace, TraceMetrics):

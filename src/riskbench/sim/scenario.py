@@ -96,17 +96,25 @@ class Scenario:
 
 # Every number and point coordinate must be finite; these fields must be
 # more. A non-braking arm (brake_decel 0) is not assurable.
-_POSITIVE = ("belt.spawn_interval", "arm.max_speed", "arm.brake_decel",
-             "arm.pick_radius", "operator.hand_speed", "perception.e_min",
-             "perception.e_sat")
-_NON_NEGATIVE = ("belt.speed", "operator.hand_intrusion",
-                 "operator.approach_time", "environment.illuminance",
-                 "controller.reaction_time", "controller.assumed_human_speed",
-                 "controller.min_clearance", "perception.contrast_exponent",
-                 "perception.miss_horizon")
+_POSITIVE = ("belt.spawn_interval", "arm.brake_decel", "arm.pick_radius",
+             "perception.e_min", "perception.e_sat")
+_NON_NEGATIVE = ("operator.hand_intrusion", "operator.approach_time",
+                 "environment.illuminance", "controller.min_clearance",
+                 "perception.contrast_exponent", "perception.miss_horizon")
+_POINTS = ("belt.start", "belt.end", "arm.base", "arm.bin", "operator.start",
+           "camera.position")
 _DOMAINS = {
     **dict.fromkeys(_POSITIVE, {"lo": 0.0, "lo_open": True}),
     **dict.fromkeys(_NON_NEGATIVE, {"lo": 0.0}),
+    # Physical ceilings, far past any cell: metres from the cell origin,
+    # metres per second (a person walks at about 1.6), and seconds to
+    # react. An arm based 1e308 m away never nears the operator, and a
+    # reaction time of 1e6 s is no controller; neither is a cell to judge.
+    **dict.fromkeys(_POINTS, {"lo": -100.0, "hi": 100.0}),
+    **dict.fromkeys(("belt.speed", "controller.assumed_human_speed",
+                     "controller.reaction_time"), {"lo": 0.0, "hi": 10.0}),
+    **dict.fromkeys(("arm.max_speed", "operator.hand_speed"),
+                    {"lo": 0.0, "hi": 10.0, "lo_open": True}),
     # One domain for both, so an episode has at most 10^5 steps.
     **dict.fromkeys(("duration", "dt"), {"lo": 1e-3, "hi": 100.0}),
     # Metres. A link of 1e308 m overflows the safety margin to inf, which

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -61,7 +62,13 @@ def run_cli(*args, cwd=None, pythonpath=()):
 
 def just_outside(field):
     """Values just outside a field table entry's domain: past each finite
-    bound, or on it where the bound is open."""
+    bound, or on it where the bound is open. A point's are file text,
+    with the outside value as each coordinate in turn."""
+    if field.type is tuple:
+        inside = min(max(0.0, field.lo), field.hi)
+        return [text for value in just_outside(replace(field, type=float))
+                for text in (f"{value!r}, {inside!r}",
+                             f"{inside!r}, {value!r}")]
     if field.choices:
         return [field.choices[0].upper()]
     if field.type is int:

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -730,6 +731,96 @@ def test_explain_of_a_single_label_archive_leaves_numpy_unloaded(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "no rules met" in (tmp_path / "camp" / "rules.txt").read_text()
     assert result.stdout.splitlines()[-1] == "False"
+
+
+def _fresh_cli(*args, cwd, before="", report="' '.join(sys.modules)"):
+    """Run one command in a fresh interpreter, after the statements
+    `before`; returns what `report` evaluates to when the process exits."""
+    env = {**os.environ, "PYTHONPATH": _PACKAGE_ROOT}
+    probe = (f"import atexit, sys\n{before}\n"
+             f"atexit.register(lambda: print({report}))\n"
+             "from riskbench.cli import main\nmain()")
+    result = subprocess.run([sys.executable, "-c", probe, *map(str, args)],
+                            cwd=cwd, env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+def _loaded(modules: str, *names):
+    """The modules among `names`, or inside one of them, that are loaded."""
+    return sorted(module for module in modules.split()
+                  if module in names or module.startswith(
+                      tuple(name + "." for name in names)))
+
+
+@pytest.mark.parametrize("command", ["validate", "cases"])
+def test_validate_and_cases_load_no_simulator_search_or_numpy(
+        tmp_path, command):
+    modules = _fresh_cli(command, "--model", MODEL, cwd=tmp_path)
+    assert "riskbench.riskml.parser" in modules.split()
+    assert _loaded(modules, "riskbench.search", "riskbench.explain",
+                   "riskbench.sim.engine", "numpy", "multiprocessing") == []
+
+
+def test_replay_loads_no_search_explanation_or_numpy(tmp_path):
+    (tmp_path / "point.json").write_text(json.dumps(_POINT))
+    modules = _fresh_cli("replay", "point.json", "--model", MODEL,
+                         "--scenario", SCENARIO, "--out", "out", cwd=tmp_path)
+    assert "riskbench.sim.engine" in modules.split()
+    assert _loaded(modules, "riskbench.search", "riskbench.explain",
+                   "numpy") == []
+
+
+def test_explain_loads_no_campaign_simulator_or_pool(campaign):
+    modules = _fresh_cli("explain", "camp/archive.csv", "--model", MODEL,
+                         cwd=campaign)
+    assert "riskbench.explain.tree" in modules.split()
+    assert _loaded(modules, "riskbench.search.campaign",
+                   "riskbench.sim.engine", "riskbench.sim.perception",
+                   "riskbench.sim.geometry", "multiprocessing") == []
+
+
+_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.mark.skipif(not _TRACING.is_file(), reason="no benchmark tracer")
+def test_every_traced_cli_attribute_resolves_before_any_command():
+    # The layer tracer looks each name up on riskbench.cli before the
+    # first command; each must be the object its home module defines.
+    probe = (
+        "import importlib, sys\n"
+        f"sys.path.insert(0, {str(_TRACING.parent)!r})\n"
+        "from tracing import LAYER_PATCHES\n"
+        "import riskbench.cli as cli\n"
+        "for module, attr, _ in LAYER_PATCHES:\n"
+        "    if module == 'riskbench.cli':\n"
+        "        value = getattr(cli, attr, None)\n"
+        "        home = getattr(value, '__module__', '') or ''\n"
+        "        ok = home.startswith('riskbench.') and getattr(\n"
+        "            importlib.import_module(home), attr, None) is value\n"
+        "        print(attr, ok)\n")
+    env = {**os.environ, "PYTHONPATH": _PACKAGE_ROOT}
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) >= 12
+    assert [line for line in lines if not line.endswith(" True")] == []
+
+
+def test_replay_calls_the_simulate_bound_on_the_cli_module(tmp_path):
+    # Set before any command has run, so the command finds the name bound.
+    (tmp_path / "point.json").write_text(json.dumps(_POINT))
+    before = ("import riskbench.cli as cli\n"
+              "from riskbench.sim import simulate\n"
+              "calls = []\n"
+              "cli.simulate = lambda *a: calls.append(a) or simulate(*a)")
+    calls = _fresh_cli("replay", "point.json", "--model", MODEL,
+                       "--scenario", SCENARIO, "--out", "out", cwd=tmp_path,
+                       before=before, report="len(calls)")
+    assert calls == "1"
+    assert (tmp_path / "out" / "verdict.json").exists()
 
 
 def test_validate_cases_and_replay_run_without_numpy(tmp_path):
