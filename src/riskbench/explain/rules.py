@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from ..errors import DomainError, EmptyRegionError
 from ..riskml.model import CATEGORICAL, INTEGER
 from ..search.space import FeatureSpace
+from .pcg64 import Generator
 from .tree import DecisionTree, TreeNode
 
 
@@ -114,12 +115,16 @@ def extract_rules(tree: DecisionTree, threshold: float) -> list:
 
 def generate_counterexamples(rule: Rule, space: FeatureSpace, n: int,
                              seed: int) -> AugmentationSet:
-    """n assignments drawn uniformly from rule region ∩ feature domains."""
+    """n assignments drawn uniformly from rule region ∩ feature domains.
+
+    The draws are those of `numpy.random.default_rng(seed)`, made by the
+    pure-Python replica in `pcg64`: `explain` then needs only the standard
+    library, and spares the import of numpy, which costs more than the
+    whole explanation of an archive of the usual size.
+    """
     if n < 0:
         raise DomainError(f"sample count must be non-negative, got {n}")
-    # Imported here so that start-up does not pay for it.
-    import numpy as np
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
 
     samplers = []
     for dim in space.dims:
@@ -160,11 +165,11 @@ def generate_counterexamples(rule: Rule, space: FeatureSpace, n: int,
         a = {}
         for name, kind, spec in samplers:
             if kind == "cat":
-                a[name] = spec[int(rng.integers(0, len(spec)))]
+                a[name] = spec[rng.integers(0, len(spec))]
             elif kind == "int":
-                a[name] = int(rng.integers(spec[0], spec[1] + 1))
+                a[name] = rng.integers(spec[0], spec[1] + 1)
             else:
-                a[name] = float(rng.uniform(spec[0], spec[1]))
+                a[name] = rng.uniform(spec[0], spec[1])
         assignments.append(a)
     return AugmentationSet(assignments=tuple(assignments), rule_id=rule.id)
 

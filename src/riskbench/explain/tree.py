@@ -7,26 +7,33 @@ Ties break toward the lower feature index, then the lower threshold (for
 categoricals: the earlier declared category). No pruning; growth stops on
 depth, node size, purity, or a gain floor.
 
-Split search is CART's presort-and-sweep (Breiman et al., 1984) on numpy
-arrays. The dataset is packed once: a float64 array per numeric column,
-category codes per categorical column, a bool array of non-compliant
-labels. Each node holds an index array of its rows. Per node, each numeric
-column is sorted and swept with cumulative class counts, and each
-categorical column is counted with `bincount`, so a node with n rows and
-d columns costs O(d·n log n) in a fixed number of array operations.
+Split search is CART's presort-and-sweep (Breiman et al., 1984) in plain
+Python. The dataset is packed once: a list of floats per numeric column,
+category codes per categorical column, a flag per row for the
+non-compliant label. At the root each numeric column's rows are sorted
+once by value; a node hands each child its rows in every such order by
+stable filtering on the split's side, so no node sorts again. Per node,
+each numeric column is swept in order with cumulative class counts and
+each categorical column is counted, and every candidate's gain is
+computed inline, so a node with n rows and d columns costs O(d·n).
 
-The search uses only +, -, ×, ÷ and comparisons, which IEEE 754 rounds
-alike in numpy and in Python, and evaluates the gain in one fixed order,
-so the trees equal bit for bit those of the same sweep over Python row
-tuples (kept as a test oracle). An integer value is exact in float64
-only within ±2^53, so a larger one is refused. numpy is imported when
-the dataset is packed for its first split search: a dataset of one
-label never loads it.
+The search uses only +, -, ×, ÷ and comparisons on doubles, and
+evaluates the gain in one fixed order, so the trees equal bit for bit
+those of the numpy array search this replaced and of the sweep over
+Python row tuples kept as a test oracle. An integer value is exact in a
+double only within ±2^53, so a larger one is refused.
+
+`explain` needs only the standard library here: on archives of up to a
+few thousand rows the sweep costs less than importing numpy does, and
+above about 5000 rows an array search would be the faster one.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from ..errors import DomainError, UnknownNameError
 from ..riskml.model import CATEGORICAL, EXACT_INT, INTEGER
@@ -81,7 +88,7 @@ class DecisionTree:
 
 
 def _gini(n_compliance, n_non_compliance):
-    """Gini impurity of a nonempty node; the counts are ints or int arrays."""
+    """Gini impurity of a nonempty node."""
     total = n_compliance + n_non_compliance
     p_c = n_compliance / total
     p_nc = n_non_compliance / total
@@ -89,15 +96,14 @@ def _gini(n_compliance, n_non_compliance):
 
 
 class _Table:
-    """A dataset packed for the split search: per column a float64 array
-    (numeric) or the index of each value in the declared categories
+    """A dataset packed for the split search: per column a list of floats
+    (numeric) or of the index of each value in the declared categories
     (categorical; an undeclared value gets the index past the last), and
-    a bool array that marks the non-compliant rows."""
+    a list that marks the non-compliant rows."""
 
     def __init__(self, columns, rows):
-        import numpy as np
         self.columns = columns
-        self.arrays = []
+        self.values = []
         for idx, column in enumerate(columns):
             cells = [values[idx] for values, _ in rows]
             if column.kind == CATEGORICAL:
@@ -105,109 +111,134 @@ class _Table:
                 for i, category in enumerate(column.values):
                     code.setdefault(category, i)
                 other = len(column.values)
-                cells = [code.get(cell, other) for cell in cells]
-                self.arrays.append(np.array(cells, dtype=np.intp))
+                self.values.append([code.get(cell, other) for cell in cells])
                 continue
             if column.kind == INTEGER and cells and (
                     min(cells) < -EXACT_INT or max(cells) > EXACT_INT):
                 raise DomainError(f"feature {column.name!r} holds an integer "
                                   f"beyond 2^53 in magnitude")
-            self.arrays.append(np.array(cells, dtype=np.float64))
-        self.is_nc = np.array([label == LABEL_NON_COMPLIANCE
-                               for _, label in rows], dtype=bool)
-        self.every_row = np.arange(len(rows))
+            self.values.append(list(map(float, cells)))
+        self.is_nc = [label == LABEL_NON_COMPLIANCE for _, label in rows]
 
-    def best_split(self, rows):
-        """(split, left mask over `rows`) of the highest-Gini-gain test over
-        every column, or None if nothing splits.
+    def root(self):
+        """The node of every row: (rows, per numeric column its rows in
+        ascending order of value, ties in row order)."""
+        every_row = range(len(self.is_nc))
+        return list(every_row), [
+            None if column.kind == CATEGORICAL
+            else sorted(every_row, key=values.__getitem__)
+            for column, values in zip(self.columns, self.values)]
+
+    def _candidates(self, idx, node):
+        """(candidate, n_left, nc_left) of each test on one column, in
+        scanning order; left is `value <= candidate` (numeric) or
+        `code == candidate` (categorical)."""
+        rows, orders = node
+        values, is_nc = self.values[idx], self.is_nc
+        if orders[idx] is None:
+            k = len(self.columns[idx].values)
+            n_left, nc_left = [0] * (k + 1), [0] * (k + 1)
+            for i in rows:
+                n_left[values[i]] += 1
+                nc_left[values[i]] += is_nc[i]
+            return zip(range(k), n_left, nc_left)
+        order = orders[idx]
+        keys = [values[i] for i in order]
+        nc_before = list(accumulate(map(is_nc.__getitem__, order), initial=0))
+        found = []
+        for n_left in range(1, len(keys)):
+            a, b = keys[n_left - 1], keys[n_left]
+            if a == b:
+                continue
+            # The midpoint of two adjacent floats can round onto the larger
+            # one, and a sum past the float range gives ±inf, so the left
+            # count comes from the threshold, not from the boundary.
+            candidate = (a + b) / 2.0
+            if not a <= candidate < b:
+                n_left = bisect_right(keys, candidate)
+            found.append((candidate, n_left, nc_before[n_left]))
+        return found
+
+    def best_split(self, node, parent_nc):
+        """(split, set of the rows it sends left) of the highest-Gini-gain test
+        over every column of the node, or None if nothing splits.
 
         Candidates are scanned by feature index and then ascending, and the
         first of equal gains is kept, which yields the documented
         tie-breaking.
         """
-        import numpy as np
-        is_nc = self.is_nc[rows]
-        total = len(rows)
-        parent_nc = int(np.count_nonzero(is_nc))
+        total = len(node[0])
         if parent_nc in (0, total):     # one label, or no row
             return None
         parent_gini = _gini(total - parent_nc, parent_nc)
-
-        best = None
-        for idx, column in enumerate(self.columns):
-            values = self.arrays[idx][rows]
-            if column.kind == CATEGORICAL:
-                k = len(column.values)
-                n_left = np.bincount(values, minlength=k)[:k]
-                nc_left = np.bincount(values[is_nc], minlength=k)[:k]
-                candidates = np.arange(k)
-            else:
-                order = np.argsort(values, kind="stable")
-                keys = values[order]
-                nc_before = np.concatenate(([0], np.cumsum(is_nc[order])))
-                upper = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-                # The midpoint of two adjacent floats can round onto the
-                # larger one, so the left count comes from the threshold,
-                # not from the boundary position; a sum past the float
-                # range gives inf, as in Python, which splits nothing.
-                with np.errstate(over="ignore"):
-                    candidates = (keys[upper - 1] + keys[upper]) / 2.0
-                n_left = np.searchsorted(keys, candidates, side="right")
-                nc_left = nc_before[n_left]
-            keep = (n_left > 0) & (n_left < total)
-            if not keep.any():
-                continue
-            n_left, nc_left = n_left[keep], nc_left[keep]
-            n_right = total - n_left
-            right_nc = parent_nc - nc_left
-            gains = parent_gini \
-                - (n_left / total) * _gini(n_left - nc_left, nc_left) \
-                - (n_right / total) * _gini(n_right - right_nc, right_nc)
-            pick = int(np.argmax(gains))
-            gain = float(gains[pick])
-            if best is None or gain > best[0]:
-                best = (gain, idx, candidates[keep][pick])
-
+        best_gain, best = -math.inf, None
+        for idx in range(len(self.columns)):
+            for candidate, n_left, nc_left in self._candidates(idx, node):
+                n_right = total - n_left
+                if n_left == 0 or n_right == 0:
+                    continue
+                # _gini of each side, inline (two calls per candidate would
+                # show in the search time) and in the same order.
+                right_nc = parent_nc - nc_left
+                p_c = (n_left - nc_left) / n_left
+                p_nc = nc_left / n_left
+                q_c = (n_right - right_nc) / n_right
+                q_nc = right_nc / n_right
+                gain = parent_gini \
+                    - (n_left / total) * (1.0 - p_c * p_c - p_nc * p_nc) \
+                    - (n_right / total) * (1.0 - q_c * q_c - q_nc * q_nc)
+                if gain > best_gain:
+                    best_gain, best = gain, (idx, candidate)
         if best is None:
             return None
-        gain, idx, candidate = best
-        column = self.columns[idx]
-        values = self.arrays[idx][rows]
+        idx, candidate = best
+        column, values = self.columns[idx], self.values[idx]
         if column.kind == CATEGORICAL:
             threshold = column.values[candidate]
-            goes_left = values == candidate
+            left = {i for i in node[0] if values[i] == candidate}
         else:
-            threshold = float(candidate)
-            goes_left = values <= threshold
+            threshold = candidate
+            left = {i for i in node[0] if values[i] <= threshold}
         return Split(feature_index=idx, feature_name=column.name,
                      kind=column.kind, threshold=threshold,
-                     gain=gain), goes_left
+                     gain=best_gain), left
+
+
+def _divide(node, left):
+    """The children of a node, the rows in `left` and the others, each
+    keeping the node's orders."""
+    rows, orders = node
+    return (([i for i in rows if i in left],
+             [order and [i for i in order if i in left] for order in orders]),
+            ([i for i in rows if i not in left],
+             [order and [i for i in order if i not in left]
+              for order in orders]))
 
 
 def best_split(rows, columns) -> Split | None:
     """Highest-Gini-gain test over every column of (values, label) rows,
     or None if nothing splits."""
     table = _Table(columns, rows)
-    found = table.best_split(table.every_row)
+    found = table.best_split(table.root(), sum(table.is_nc))
     return found[0] if found else None
 
 
-def _grow(table, rows, depth, max_depth, min_leaf, min_gain) -> TreeNode:
-    n_nc = int(table.is_nc[rows].sum())
+def _grow(table, node, depth, max_depth, min_leaf, min_gain) -> TreeNode:
+    rows = node[0]
+    n_nc = sum(map(table.is_nc.__getitem__, rows))
     n_c = len(rows) - n_nc
     leaf = TreeNode(split=None, count_compliance=n_c, count_non_compliance=n_nc)
     if depth >= max_depth or len(rows) < min_leaf or n_c == 0 or n_nc == 0:
         return leaf
-    found = table.best_split(rows)
+    found = table.best_split(node, n_nc)
     if found is None or found[0].gain < min_gain:
         return leaf
-    split, goes_left = found
+    split, left_rows = found
+    left, right = _divide(node, left_rows)
     return TreeNode(
         split=split,
-        left=_grow(table, rows[goes_left], depth + 1, max_depth, min_leaf,
-                   min_gain),
-        right=_grow(table, rows[~goes_left], depth + 1, max_depth, min_leaf,
-                    min_gain),
+        left=_grow(table, left, depth + 1, max_depth, min_leaf, min_gain),
+        right=_grow(table, right, depth + 1, max_depth, min_leaf, min_gain),
         count_compliance=n_c,
         count_non_compliance=n_nc,
     )
@@ -220,14 +251,13 @@ def induce_tree(dataset: LabeledDataset, max_depth: int = DEFAULT_MAX_DEPTH,
         raise DomainError("cannot induce a tree from an empty dataset")
     n_nc = sum(label == LABEL_NON_COMPLIANCE for _, label in dataset.rows)
     if n_nc in (0, len(dataset.rows)):
-        # One label: the root is a leaf, and numpy is never imported.
+        # One label: the root is a leaf.
         root = TreeNode(split=None,
                         count_compliance=len(dataset.rows) - n_nc,
                         count_non_compliance=n_nc)
     else:
         table = _Table(dataset.columns, dataset.rows)
-        root = _grow(table, table.every_row, 0, max_depth, min_leaf,
-                     min_gain)
+        root = _grow(table, table.root(), 0, max_depth, min_leaf, min_gain)
     return DecisionTree(root=root, columns=dataset.columns,
                         n_rows=len(dataset.rows), max_depth=max_depth,
                         min_leaf=min_leaf, min_gain=min_gain)

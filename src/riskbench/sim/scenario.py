@@ -95,17 +95,31 @@ class Scenario:
 # -- the field table ---------------------------------------------------------
 
 # Every number and point coordinate must be finite; these fields must be
-# more. A non-braking arm (brake_decel 0) is not assurable.
-_POSITIVE = ("belt.spawn_interval", "arm.brake_decel", "arm.pick_radius",
-             "perception.e_min", "perception.e_sat")
-_NON_NEGATIVE = ("operator.hand_intrusion", "operator.approach_time",
-                 "environment.illuminance", "controller.min_clearance",
-                 "perception.contrast_exponent", "perception.miss_horizon")
+# more, and each has a physical ceiling (path -> hi). A non-braking arm
+# (brake_decel 0) is not assurable.
+_POSITIVE = {"belt.spawn_interval": 100.0, "arm.brake_decel": 100.0,
+             "arm.pick_radius": 1.0, "perception.e_min": 1e5,
+             "perception.e_sat": 1e5}
+_NON_NEGATIVE = {"operator.hand_intrusion": 1.0,
+                 "operator.approach_time": 100.0,
+                 "environment.illuminance": 1e5,
+                 "controller.min_clearance": 10.0,
+                 "perception.contrast_exponent": 10.0}
 _POINTS = ("belt.start", "belt.end", "arm.base", "arm.bin", "operator.start",
            "camera.position")
 _DOMAINS = {
-    **dict.fromkeys(_POSITIVE, {"lo": 0.0, "lo_open": True}),
-    **dict.fromkeys(_NON_NEGATIVE, {"lo": 0.0}),
+    # Ceilings far past any cell, so that an absurd finite value is
+    # refused instead of judged: an arm that stops at once (brake_decel
+    # 1e308) or an operator who never reaches in (approach_time 1e308)
+    # makes any cell compliant. Times in seconds, up to the longest
+    # episode; decelerations in m/s^2 (10 g); a pick radius and a hand's
+    # reach in metres, under an arm's length; a clearance in metres, like
+    # a link; light in lux (direct sunlight is about 1e5); a contrast
+    # exponent 20 times the shipped 0.5.
+    **{path: {"lo": 0.0, "lo_open": True, "hi": hi}
+       for path, hi in _POSITIVE.items()},
+    **{path: {"lo": 0.0, "hi": hi} for path, hi in _NON_NEGATIVE.items()},
+    "perception.miss_horizon": {"lo": 0.0},
     # Physical ceilings, far past any cell: metres from the cell origin,
     # metres per second (a person walks at about 1.6), and seconds to
     # react. An arm based 1e308 m away never nears the operator, and a

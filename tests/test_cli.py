@@ -716,23 +716,6 @@ def test_importing_the_cli_leaves_the_pool_modules_unloaded():
     assert result.stdout.strip() == "False"
 
 
-def test_explain_of_a_single_label_archive_leaves_numpy_unloaded(tmp_path):
-    # This seeded 15-point campaign finds no violation: the tree is one
-    # leaf, and no rule asks for counterexamples.
-    write_config(tmp_path / "c.config", seed=0)
-    assert run_cli("run", "--config", "c.config", cwd=tmp_path).returncode == 0
-    env = {**os.environ, "PYTHONPATH": _PACKAGE_ROOT}
-    probe = ("import atexit, sys; atexit.register(lambda: print('numpy' in "
-             "sys.modules)); from riskbench.cli import main; main()")
-    result = subprocess.run(
-        [sys.executable, "-c", probe, "explain", "camp/archive.csv",
-         "--model", str(MODEL)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert "no rules met" in (tmp_path / "camp" / "rules.txt").read_text()
-    assert result.stdout.splitlines()[-1] == "False"
-
-
 def _fresh_cli(*args, cwd, before="", report="' '.join(sys.modules)"):
     """Run one command in a fresh interpreter, after the statements
     `before`; returns what `report` evaluates to when the process exits."""
@@ -773,12 +756,22 @@ def test_replay_loads_no_search_explanation_or_numpy(tmp_path):
 
 
 def test_explain_loads_no_campaign_simulator_or_pool(campaign):
-    modules = _fresh_cli("explain", "camp/archive.csv", "--model", MODEL,
-                         cwd=campaign)
-    assert "riskbench.explain.tree" in modules.split()
-    assert _loaded(modules, "riskbench.search.campaign",
-                   "riskbench.sim.engine", "riskbench.sim.perception",
-                   "riskbench.sim.geometry", "multiprocessing") == []
+    # The fixture's archive has both labels and a rule that draws
+    # counterexamples; this seeded 15-point campaign finds no violation,
+    # so its tree is one leaf and no rule draws any.
+    write_config(campaign / "one.config", seed=0, out="one")
+    assert run_cli("run", "--config", "one.config",
+                   cwd=campaign).returncode == 0
+    for out in ("camp", "one"):
+        modules = _fresh_cli("explain", f"{out}/archive.csv", "--model",
+                             MODEL, cwd=campaign)
+        assert "riskbench.explain.tree" in modules.split()
+        assert _loaded(modules, "riskbench.search.campaign",
+                       "riskbench.sim.engine", "riskbench.sim.perception",
+                       "riskbench.sim.geometry", "multiprocessing",
+                       "numpy") == []
+    assert "rule #1" in (campaign / "camp" / "rules.txt").read_text()
+    assert "no rules met" in (campaign / "one" / "rules.txt").read_text()
 
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -823,7 +816,15 @@ def test_replay_calls_the_simulate_bound_on_the_cli_module(tmp_path):
     assert (tmp_path / "out" / "verdict.json").exists()
 
 
-def test_validate_cases_and_replay_run_without_numpy(tmp_path):
+def test_every_command_but_run_works_without_numpy(tmp_path):
+    # This seeded campaign over MODE_MODEL finds a violation, so its
+    # archive has both labels and its rule draws continuous and
+    # categorical counterexamples.
+    (tmp_path / "mode.riskml").write_text(MODE_MODEL)
+    write_config(tmp_path / "c.config", model=tmp_path / "mode.riskml",
+                 seed=8)
+    assert run_cli("run", "--config", "c.config",
+                   cwd=tmp_path).returncode == 0
     # A numpy that cannot be imported: any command that imports it fails,
     # and run_cli reports the ImportError.
     stub = tmp_path / "stub" / "numpy"
@@ -834,10 +835,17 @@ def test_validate_cases_and_replay_run_without_numpy(tmp_path):
     for args in [("validate", "--model", MODEL),
                  ("cases", "--model", MODEL),
                  ("replay", "point.json", "--model", MODEL,
-                  "--scenario", SCENARIO, "--out", "out")]:
+                  "--scenario", SCENARIO, "--out", "out"),
+                 ("explain", "camp/archive.csv", "--model", "mode.riskml",
+                  "--out", "explained")]:
         result = run_cli(*args, cwd=tmp_path, pythonpath=[stub.parent])
         assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "verdict.json").exists()
+    per_rule = json.loads((tmp_path / "explained" / "augmentation.json")
+                          .read_text())["per_rule"]
+    drawn = [a for rule in per_rule for a in rule["assignments"]]
+    assert drawn and all(a["mode"] in ("ssm", "monitored_stop")
+                         for a in drawn)
 
 
 # -- artifacts ------------------------------------------------------------------

@@ -191,6 +191,21 @@ def test_a_value_just_outside_its_domain_is_rejected(path, value):
         load_scenario(f"{path} = {text}\n")
 
 
+@pytest.mark.parametrize("path", [
+    "arm.brake_decel", "arm.pick_radius", "belt.spawn_interval",
+    "operator.approach_time", "operator.hand_intrusion",
+    "controller.min_clearance", "environment.illuminance",
+    "perception.e_min", "perception.e_sat", "perception.contrast_exponent"])
+def test_an_absurd_finite_value_is_past_the_ceiling(path):
+    # Each of these once let the cell be judged compliant on a value no
+    # cell has, such as an arm that stops at once or an operator who
+    # never reaches in.
+    field = SCENARIO_FIELDS[path]
+    assert field.hi < 1e308
+    with pytest.raises(DomainError, match=path):
+        load_scenario(f"{path} = 1e308\n")
+
+
 def _in_domain(field):
     if field.choices:
         return st.sampled_from(field.choices)
