@@ -34,9 +34,9 @@ from .riskml.parser import parse_risk_model
 from .sim.scenario import check_bindings, load_scenario
 
 # What only some commands use. A command binds the names it calls here
-# (`_load`) before it runs, so `validate` never loads the simulator, the
-# search or numpy. Patches on this module, by tests or a tracer, replace
-# what the commands call.
+# (`_load`) before it runs, so `validate` never loads the simulator or the
+# search. Patches on this module, by tests or a tracer, replace what the
+# commands call.
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".explain": ("dataset_from_rows", "estimate_event_likelihood",
                  "extract_rules", "generate_counterexamples", "induce_tree",

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from ..errors import DomainError, EmptyRegionError
 from ..riskml.model import CATEGORICAL, INTEGER
+from ..rng import Generator
 from ..search.space import FeatureSpace
-from .pcg64 import Generator
 from .tree import DecisionTree, TreeNode
 
 
@@ -118,9 +118,7 @@ def generate_counterexamples(rule: Rule, space: FeatureSpace, n: int,
     """n assignments drawn uniformly from rule region ∩ feature domains.
 
     The draws are those of `numpy.random.default_rng(seed)`, made by the
-    pure-Python replica in `pcg64`: `explain` then needs only the standard
-    library, and spares the import of numpy, which costs more than the
-    whole explanation of an archive of the usual size.
+    package's generator (`riskbench.rng`).
     """
     if n < 0:
         raise DomainError(f"sample count must be non-negative, got {n}")

@@ -226,6 +226,10 @@ def validate(model: RiskModel) -> list[Diagnostic]:
             elif f.kind == INTEGER and max(-f.lo, f.hi) > EXACT_INT:
                 diag("feature", f.name, f"integer bound beyond 2^53 in "
                                         f"magnitude: [{f.lo}, {f.hi}]")
+            elif not math.isfinite(f.hi - f.lo):
+                # Decoding a unit point computes lo + u * (hi - lo).
+                diag("feature", f.name, f"domain wider than a float can "
+                                        f"hold: [{f.lo}, {f.hi}]")
         if not f.binding:
             diag("feature", f.name, "missing scenario binding")
 

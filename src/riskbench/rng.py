@@ -1,25 +1,31 @@
-"""`numpy.random.default_rng(seed)` in pure Python, for the two draws that
-counterexample sampling makes: `uniform(low, high)` and `integers(low,
-high)`.
+"""`numpy.random.default_rng(seed)` in pure Python: the one random
+generator of the package.
 
-The stream is numpy's bit for bit. The integer seed is expanded by
-numpy's SeedSequence (O'Neill's seed_seq hash mixing, a pool of four
+The stream is numpy's bit for bit, for the draws the package makes:
+`random()`, `uniform(low, high)`, `normal(loc, scale)` and
+`integers(low, high)`, one value per call. The integer seed is expanded
+by numpy's SeedSequence (O'Neill's seed_seq hash mixing, a pool of four
 32-bit words) into a 128-bit state and a 128-bit increment for PCG64, a
 128-bit linear congruential generator whose output function is XSL-RR
 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
-Good Algorithms for Random Number Generation", HMC-CS-2014-0905). A
-uniform double takes the top 53 bits of one 64-bit output. A bounded
-integer follows numpy's branches for int64 by the number of values in
-[low, high): no draw for one, Lemire's multiply-and-reject over 32-bit
-draws for fewer than 2^32 and over 64-bit draws for more (Lemire, "Fast
-Random Integer Generation in an Interval", ACM TOMACS 2019), and a plain
-draw for exactly 2^32 or 2^64. A 32-bit draw uses half of a 64-bit
-output and keeps the other half for the next 32-bit draw, across calls,
-as numpy does; a 64-bit draw leaves that half waiting.
+Good Algorithms for Random Number Generation", HMC-CS-2014-0905).
 
-`explain` uses this so that it never imports numpy, whose import costs
-more than the whole sampling. The tests compare it with numpy's
-Generator.
+- A uniform double takes the top 53 bits of one 64-bit output.
+- A normal draw is numpy's ziggurat (Marsaglia and Tsang, "The Ziggurat
+  Method for Generating Random Variables", J. Stat. Softw. 5, 2000): a
+  52-bit fast path, a wedge test through `exp` and a tail through
+  `log1p`, over the tables in `ziggurat_tables`.
+- A bounded integer follows numpy's branches for int64 by the number of
+  values in [low, high): no draw for one, Lemire's multiply-and-reject
+  over 32-bit draws for fewer than 2^32 and over 64-bit draws for more
+  (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+  2019), and a plain draw for exactly 2^32 or 2^64. A 32-bit draw uses
+  half of a 64-bit output and keeps the other half for the next 32-bit
+  draw, across calls, as numpy does; a 64-bit draw leaves that half
+  waiting. numpy's `integers(low, high, size)` draws as `size` calls do.
+
+No command imports numpy, whose import costs more than the draws of a
+whole campaign. The tests compare every draw with numpy's Generator.
 """
 
 from __future__ import annotations
@@ -39,6 +45,12 @@ _POOL_SIZE = 4
 
 # PCG_DEFAULT_MULTIPLIER_128.
 _MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+# The ziggurat's tail: its start r and 1/r (ziggurat_constants.h).
+_NOR_R = 3.6541528853610088
+_NOR_INV_R = 0.27366123732975828
+_M52 = (1 << 52) - 1
+_TWO_M53 = 1.0 / (1 << 53)
 
 
 def _seed_state(seed: int) -> tuple:
@@ -85,7 +97,8 @@ def _seed_state(seed: int) -> tuple:
 
 
 class Generator:
-    """The draws of `numpy.random.default_rng(seed)` that sampling uses."""
+    """The draws of `numpy.random.default_rng(seed)` that the package
+    makes, with a state that can be read and set."""
 
     def __init__(self, seed: int):
         if seed < 0:
@@ -97,6 +110,17 @@ class Generator:
         self._state = (self._inc + initstate) & _M128
         self._step()
         self._half = None          # the waiting upper half of a 64-bit draw
+        self._tables = None        # (fi, wi, ki), read on the first normal
+
+    @property
+    def state(self) -> tuple:
+        """(128-bit state, 128-bit increment, waiting 32-bit half or None):
+        all that the next draws depend on."""
+        return self._state, self._inc, self._half
+
+    @state.setter
+    def state(self, value: tuple) -> None:
+        self._state, self._inc, self._half = value
 
     def _step(self):
         self._state = (self._state * _MULTIPLIER + self._inc) & _M128
@@ -116,6 +140,10 @@ class Generator:
         self._half = word >> 32
         return word & _M32
 
+    def random(self) -> float:
+        """A float in [0, 1): `Generator.random()`."""
+        return (self._next64() >> 11) * _TWO_M53
+
     def uniform(self, low, high) -> float:
         """A float in [low, high): `Generator.uniform(low, high)`."""
         low, high = float(low), float(high)
@@ -124,7 +152,44 @@ class Generator:
             raise OverflowError("high - low range exceeds valid bounds")
         if span < 0:
             raise ValueError("rng < 0")
-        return low + span * ((self._next64() >> 11) * (1.0 / (1 << 53)))
+        return low + span * self.random()
+
+    def normal(self, loc=0.0, scale=1.0) -> float:
+        """A normal float: `Generator.normal(loc, scale)`, which is
+        loc + scale * z for a standard normal z."""
+        loc, scale = float(loc), float(scale)
+        if math.copysign(1.0, scale) < 0.0 and not math.isnan(scale):
+            raise ValueError("scale < 0")
+        return loc + scale * self._standard_normal()
+
+    def _standard_normal(self) -> float:
+        """numpy's `random_standard_normal`, step for step."""
+        if self._tables is None:
+            from .ziggurat_tables import FI, KI, WI
+            self._tables = FI, WI, KI
+        fi, wi, ki = self._tables
+        while True:
+            # 8 bits of layer, a sign bit and 52 bits of magnitude.
+            word = self._next64()
+            layer = word & 0xFF
+            word >>= 8
+            magnitude = word >> 1 & _M52
+            x = magnitude * wi[layer]
+            if word & 1:
+                x = -x
+            if magnitude < ki[layer]:
+                return x            # inside the layer's rectangle
+            if layer == 0:
+                # The tail beyond r; 1 - U keeps log1p away from log(0).
+                while True:
+                    xx = -_NOR_INV_R * math.log1p(-self.random())
+                    yy = -math.log1p(-self.random())
+                    if yy + yy > xx * xx:
+                        return (-(_NOR_R + xx) if magnitude >> 8 & 1
+                                else _NOR_R + xx)
+            elif ((fi[layer - 1] - fi[layer]) * self.random() + fi[layer]
+                    < math.exp(-0.5 * x * x)):
+                return x            # inside the wedge under the density
 
     def integers(self, low, high) -> int:
         """An int in [low, high): `Generator.integers(low, high)`."""

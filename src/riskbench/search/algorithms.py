@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigError, DomainError, RiskbenchError
 from ..kvdoc import field_table
+from ..rng import Generator
 from .space import FeatureSpace, decode
 
 ALGORITHMS = ("random", "hill_climb", "simulated_annealing", "genetic")
@@ -182,10 +183,7 @@ def run_search(space: FeatureSpace, evaluator, config: SearchConfig,
 
 def _search(space: FeatureSpace, config: SearchConfig, evaluate_many,
             width: int = 1) -> Archive:
-    # numpy is imported where random numbers are drawn, so that commands
-    # which never search do not pay for it at start-up.
-    import numpy as np
-    rng = np.random.default_rng(config.seed)
+    rng = Generator(config.seed)
     driver = _Driver(space, config, evaluate_many, width)
     if config.algorithm == "random":
         _random_walk(driver, rng)
@@ -205,8 +203,8 @@ def _pool_map(evaluator, workers: int):
     Each worker is forked where the platform can fork. A spawned worker
     re-imports the package first, about 0.2 s on a 2-CPU host, which is
     most of what a 200-evaluation hill climb gains from a second
-    evaluator. In `riskbench run` the pool starts before numpy is
-    imported, so the fork copies a process of one thread.
+    evaluator. The fork copies a process of one thread: nothing that
+    `riskbench run` imports starts a thread.
     """
     # Imported here so that start-up does not pay for it.
     import multiprocessing
@@ -348,14 +346,18 @@ def _serve(evaluator, pipe, inherited) -> None:
             return
 
 
-def _random_walk(driver: _Driver, rng) -> None:
+def _uniform_point(rng: Generator, d: int) -> list:
+    return [rng.random() for _ in range(d)]
+
+
+def _random_walk(driver: _Driver, rng: Generator) -> None:
     d = len(driver.space)
     while not driver.exhausted():
-        list(driver.evaluate_batch([rng.random(d) for _ in
+        list(driver.evaluate_batch([_uniform_point(rng, d) for _ in
                                     range(driver.room(BATCH_SIZE))]))
 
 
-def _local_search(driver: _Driver, rng, annealing: bool) -> None:
+def _local_search(driver: _Driver, rng: Generator, annealing: bool) -> None:
     """(1+1) kernel shared by hill_climb and simulated_annealing.
 
     A uniform acceptance draw is consumed on every worsening proposal in
@@ -372,7 +374,6 @@ def _local_search(driver: _Driver, rng, annealing: bool) -> None:
     after the last recorded proposal's draws. So every draft width makes
     the decisions of a draft of one, the one-at-a-time kernel.
     """
-    import numpy as np
     cfg = driver.config
     d = len(driver.space)
     temperature = cfg.t0
@@ -387,13 +388,14 @@ def _local_search(driver: _Driver, rng, annealing: bool) -> None:
         base, stalled = x, rejections
         for _ in range(driver.room(driver.width)):
             if stalled >= STALL_LIMIT:
-                base, stalled = rng.random(d), 0
-                draft.append((base, None, None, rng.bit_generator.state))
+                base, stalled = _uniform_point(rng, d), 0
+                draft.append((base, None, None, rng.state))
             else:
-                y = np.clip(base + rng.normal(0.0, cfg.sigma, d), 0.0, 1.0)
-                moved = rng.bit_generator.state
+                y = [min(max(b + rng.normal(0.0, cfg.sigma), 0.0), 1.0)
+                     for b in base]
+                moved = rng.state
                 draw = rng.random()
-                draft.append((y, moved, draw, rng.bit_generator.state))
+                draft.append((y, moved, draw, rng.state))
                 stalled += 1
 
         results = driver.evaluate_batch([proposal[0] for proposal in draft])
@@ -421,19 +423,22 @@ def _local_search(driver: _Driver, rng, annealing: bool) -> None:
                 temperature *= cfg.alpha
             if accepted:
                 break
-        rng.bit_generator.state = state
+        rng.state = state
 
 
-def _genetic(driver: _Driver, rng) -> None:
+def _genetic(driver: _Driver, rng: Generator) -> None:
     """Generational GA: tournament parents, uniform crossover, per-gene
-    Gaussian mutation at rate 1/d, elitism of one."""
-    import numpy as np
+    Gaussian mutation at rate 1/d, elitism of one.
+
+    A child draws its whole crossover mask and all its mutation flags,
+    and a normal for every gene only when some gene mutates.
+    """
     cfg = driver.config
     d = len(driver.space)
     pop_size = cfg.population
     mutation_rate = 1.0 / d
 
-    xs = [rng.random(d) for _ in range(driver.room(pop_size))]
+    xs = [_uniform_point(rng, d) for _ in range(driver.room(pop_size))]
     population = list(zip(driver.evaluate_batch(xs), xs))
 
     while not driver.exhausted():
@@ -443,19 +448,22 @@ def _genetic(driver: _Driver, rng) -> None:
             mother = _tournament(population, cfg.tournament, rng)
             father = _tournament(population, cfg.tournament, rng)
             if rng.random() < cfg.crossover:
-                mask = rng.random(d) < 0.5
-                child = np.where(mask, mother, father)
+                mask = [rng.random() < 0.5 for _ in range(d)]
+                child = [m if pick else f
+                         for pick, m, f in zip(mask, mother, father)]
             else:
-                child = mother.copy()
-            mutate = rng.random(d) < mutation_rate
-            if mutate.any():
-                child = child + mutate * rng.normal(0.0, cfg.sigma, d)
-            children.append(np.clip(child, 0.0, 1.0))
+                child = list(mother)
+            mutate = [rng.random() < mutation_rate for _ in range(d)]
+            if any(mutate):
+                # Every gene draws its normal; one not flagged adds a zero.
+                child = [c + flag * rng.normal(0.0, cfg.sigma)
+                         for c, flag in zip(child, mutate)]
+            children.append([min(max(c, 0.0), 1.0) for c in child])
         population = [population[0],
                       *zip(driver.evaluate_batch(children), children)]
 
 
-def _tournament(population, size, rng):
-    picks = rng.integers(0, len(population), size)
+def _tournament(population, size, rng: Generator):
+    picks = [rng.integers(0, len(population)) for _ in range(size)]
     best = min(picks, key=lambda i: population[i][0])
     return population[best][1]

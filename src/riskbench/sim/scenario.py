@@ -119,7 +119,9 @@ _DOMAINS = {
     **{path: {"lo": 0.0, "lo_open": True, "hi": hi}
        for path, hi in _POSITIVE.items()},
     **{path: {"lo": 0.0, "hi": hi} for path, hi in _NON_NEGATIVE.items()},
-    "perception.miss_horizon": {"lo": 0.0},
+    # Steps. No episode is longer than 10^5 steps (duration and dt below),
+    # and a horizon that long already trusts a lost hand fix to the end.
+    "perception.miss_horizon": {"lo": 0.0, "hi": 1e5},
     # Physical ceilings, far past any cell: metres from the cell origin,
     # metres per second (a person walks at about 1.6), and seconds to
     # react. An arm based 1e308 m away never nears the operator, and a

@@ -161,6 +161,21 @@ def test_validate_rejects_an_integer_bound_a_float_cannot_hold(tmp_path):
     assert "feature 'n': integer bound beyond 2^53" in result.stderr
 
 
+def test_validate_rejects_a_domain_wider_than_a_float(tmp_path):
+    # Each bound is finite, but decoding a search point multiplies by
+    # hi - lo, which is not.
+    for name in ("default.riskml", "default_cell.scenario"):
+        shutil.copy(data_path(name), tmp_path / name)
+    model = tmp_path / "default.riskml"
+    model.write_text(model.read_text().replace(
+        "camera_yaw continuous [1.22, 1.92]",
+        "camera_yaw continuous [-1e308, 1e308]"))
+    result = run_cli("validate", "--model", model)
+    assert result.returncode == 1
+    assert "feature 'camera_yaw': domain wider than a float can hold" \
+        in result.stderr
+
+
 def test_validate_missing_file_is_an_io_error():
     result = run_cli("validate", "--model", "/nonexistent/m.riskml")
     assert result.returncode == 2
@@ -755,6 +770,13 @@ def test_replay_loads_no_search_explanation_or_numpy(tmp_path):
                    "numpy") == []
 
 
+def test_run_loads_no_numpy(tmp_path):
+    write_config(tmp_path / "hc.config", algorithm="hill_climb", out="hc")
+    modules = _fresh_cli("run", "--config", "hc.config", cwd=tmp_path)
+    assert "riskbench.rng" in modules.split()
+    assert _loaded(modules, "numpy") == []
+
+
 def test_explain_loads_no_campaign_simulator_or_pool(campaign):
     # The fixture's archive has both labels and a rule that draws
     # counterexamples; this seeded 15-point campaign finds no violation,
@@ -816,27 +838,37 @@ def test_replay_calls_the_simulate_bound_on_the_cli_module(tmp_path):
     assert (tmp_path / "out" / "verdict.json").exists()
 
 
-def test_every_command_but_run_works_without_numpy(tmp_path):
+def test_every_command_works_without_numpy(tmp_path):
     # This seeded campaign over MODE_MODEL finds a violation, so its
     # archive has both labels and its rule draws continuous and
-    # categorical counterexamples.
+    # categorical counterexamples. The guided searches draw normals,
+    # integers and generator states as well.
     (tmp_path / "mode.riskml").write_text(MODE_MODEL)
-    write_config(tmp_path / "c.config", model=tmp_path / "mode.riskml",
-                 seed=8)
-    assert run_cli("run", "--config", "c.config",
-                   cwd=tmp_path).returncode == 0
     # A numpy that cannot be imported: any command that imports it fails,
     # and run_cli reports the ImportError.
     stub = tmp_path / "stub" / "numpy"
     stub.mkdir(parents=True)
     (stub / "__init__.py").write_text(
         'raise ImportError("numpy is not available")\n')
+    for algorithm in ("random", "simulated_annealing", "genetic"):
+        write_config(tmp_path / f"{algorithm}.config",
+                     model=tmp_path / "mode.riskml", seed=8,
+                     algorithm=algorithm, out=algorithm)
+        assert run_cli("run", "--config", f"{algorithm}.config",
+                       cwd=tmp_path).returncode == 0
+        result = run_cli("run", "--config", f"{algorithm}.config",
+                         "--out", f"{algorithm}-stubbed", cwd=tmp_path,
+                         pythonpath=[stub.parent])
+        assert result.returncode == 0, result.stderr
+        for name in ("archive.csv", "campaign.json"):
+            assert (tmp_path / f"{algorithm}-stubbed" / name).read_bytes() \
+                == (tmp_path / algorithm / name).read_bytes()
     (tmp_path / "point.json").write_text(json.dumps(_POINT))
     for args in [("validate", "--model", MODEL),
                  ("cases", "--model", MODEL),
                  ("replay", "point.json", "--model", MODEL,
                   "--scenario", SCENARIO, "--out", "out"),
-                 ("explain", "camp/archive.csv", "--model", "mode.riskml",
+                 ("explain", "random/archive.csv", "--model", "mode.riskml",
                   "--out", "explained")]:
         result = run_cli(*args, cwd=tmp_path, pythonpath=[stub.parent])
         assert result.returncode == 0, result.stderr

@@ -1,6 +1,7 @@
 """Search algorithms, unit-cube encoding, archives, and campaigns."""
 
 import functools
+import hashlib
 import math
 import multiprocessing
 import os
@@ -215,6 +216,41 @@ def test_genetic_improves_over_its_first_generation():
     archive = run_search(UNIT, sphere, config)
     first_gen = min(p.robustness for p in archive.points[:10])
     assert archive.points[archive.best].robustness <= first_gen
+
+
+MIXED = FeatureSpace(dims=(*UNIT.dims, *SPACE.dims[1:]))
+
+
+def mixed_bumps(assignment):
+    # Ripples over the unit square, offset by the integer and the
+    # category, so that every algorithm restarts, accepts worsening moves
+    # and meets violations.
+    offset = 0.004 * assignment["n"] + {"a": 0.0, "b": 0.01, "c": 0.02}[
+        assignment["c"]]
+    return bumpy_sphere(assignment)[0] + offset - 0.02, None
+
+
+# Frozen from a seeded sweep: every algorithm, six seeds, a small, a
+# middling and an oversized mutation scale (sigma 2.0 clips most genes),
+# with and without stop_on_violation. No perfbench digest covers genetic
+# search or annealing, so a change in any draw, its order or the clipping
+# shows here.
+_ARCHIVE_SWEEP_SHA256 = \
+    "7b6f696f238a440847d365d498e15b34ac95c9f4a9f9f8dcedcf021b9d338c0d"
+
+
+def test_an_archive_sweep_reproduces_its_digest():
+    digest = hashlib.sha256()
+    for algorithm in ALGORITHMS:
+        for seed in range(6):
+            for sigma in (0.05, 0.3, 2.0):
+                for stop in (False, True):
+                    config = SearchConfig(
+                        algorithm=algorithm, budget=150, seed=seed,
+                        sigma=sigma, stop_on_violation=stop, population=9)
+                    archive = run_search(MIXED, mixed_bumps, config)
+                    digest.update(repr(_fingerprint(archive)).encode())
+    assert digest.hexdigest() == _ARCHIVE_SWEEP_SHA256
 
 
 # -- archives over a real campaign -------------------------------------------

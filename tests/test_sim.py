@@ -251,6 +251,16 @@ def test_an_episode_has_at_most_a_hundred_thousand_steps():
     assert int(duration.hi / dt.lo) <= 10**5
 
 
+def test_a_stale_hand_fix_is_trusted_no_longer_than_an_episode():
+    horizon = SCENARIO_FIELDS["perception.miss_horizon"]
+    duration, dt = SCENARIO_FIELDS["duration"], SCENARIO_FIELDS["dt"]
+    assert horizon.hi == int(duration.hi / dt.lo) == 10**5
+    assert load_scenario("perception.miss_horizon = 100000\n") \
+        .perception.miss_horizon == 10**5
+    with pytest.raises(DomainError, match="perception.miss_horizon"):
+        load_scenario("perception.miss_horizon = 100001\n")
+
+
 def test_bind_assignment_routes_values(default_model):
     sc = bind_assignment(Scenario(), default_model,
                          {"illuminance": 321.0, "belt_speed": 0.25})
