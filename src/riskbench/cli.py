@@ -12,10 +12,20 @@ exits 2, any other RiskbenchError exits 1. A campaign that performed no
 evaluations exits 3, and success exits 0 (found violations are results,
 not failures). A command converts an error itself only where the code
 depends on context or the message gets a prefix.
+
+Each command first imports what it runs (`_load`), and the first command
+in a process then calls `gc.freeze()`. That moves every object alive at
+that point, the imported modules above all, out of the collector's
+reach: they live as long as the process, so no later collection, the one
+at exit included, traverses them again, and the evaluator that `run`
+forks afterwards does not copy their pages by collecting them. A later
+command in the same process, as in a test session or an in-process
+benchmark, does not freeze again, so its own garbage stays collectable.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -53,10 +63,13 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 
 def _load(*names) -> None:
     """Bind each lazy name in this module's namespace; one already bound,
-    by an earlier command or a patch, stays as it is."""
+    by an earlier command or a patch, stays as it is. Every command calls
+    this first, and the first call in a process then freezes the heap."""
     module = sys.modules[__name__]
     for name in names:
         getattr(module, name)
+    if not gc.get_freeze_count():
+        gc.freeze()
 
 
 EXIT_INVALID = 1
@@ -135,6 +148,7 @@ def main():
               type=click.Path(), help="Risk model file (.riskml).")
 def cmd_validate(model_path):
     """Parse MODEL and check every model invariant."""
+    _load()
     _load_model_file(model_path)
     click.echo(f"{model_path}: ok")
 

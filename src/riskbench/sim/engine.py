@@ -8,6 +8,25 @@ the hand position is held for a bounded number of missed frames before the
 controller treats the workspace as clear. Speed is governed so that, while
 the hand is tracked, the protective separation distance plus a two-step
 closing guard never exceeds the perceived clearance.
+
+A step reuses what an earlier step computed while the inputs are equal,
+and leaves out what cannot change its result; the trace is the same,
+float for float, as that of a step that recomputes everything. Reuse is
+keyed on exact float equality of every input, and no arithmetic is
+reordered (a hoisted constant such as `belt_speed * dt` is the product
+the step would form, since Python evaluates left to right):
+
+- the hand's field-of-view test, until the hand moves;
+- the occlusion blockers, only for a draw that could detect the hand;
+- the governor's perceived distance: the last step's hand distance when
+  the fix is where that hand was (the same calls on the same arm pose);
+  its allowed speed until that distance changes;
+- the robot speed, from the shrink loop's accepted iteration, which
+  evaluates the same expression (0.0 when the arm does not move);
+- the hand's distance to the arm, until the hand or the arm moves, and
+  the torso's, until the arm moves; the torso's is left out wherever it
+  cannot be the smaller (see the separation step);
+- `S_p`, until the robot speed changes.
 """
 
 from __future__ import annotations
@@ -46,6 +65,19 @@ CHASE_LEAD = 0.75
 # Keep commanded arm targets strictly inside the reachable annulus.
 REACH_SLACK = 0.03
 INNER_SLACK = 0.01
+
+# Metres below the torso's least possible distance from the arm at which
+# the separation still tests the torso: far above the rounding in any
+# cell's coordinates, far below any clearance.
+TORSO_BOUND_MARGIN = 1e-6
+
+# Square metres by which every arm point must be nearer the hand than the
+# torso, in squared distance, before the separation leaves the torso out.
+# Cell point coordinates lie within 100 m of zero and links are at most
+# 10 m, so no distance exceeds 320 m, and the gap between the two
+# distances is at least 1.5e-11 m: some fifty times the rounding in a
+# distance that long.
+TORSO_GAP = 1e-8
 
 
 def protective_distance(v_r: float, reaction_time: float,
@@ -130,6 +162,7 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     belt_ux = (belt_ex - belt_sx) / belt_len
     belt_uy = (belt_ey - belt_sy) / belt_len
     belt_speed = belt.speed
+    belt_step = belt_speed * dt
     spawn_interval = belt.spawn_interval
     n_objects = belt.object_count
 
@@ -137,10 +170,13 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     base_x, base_y = arm.base
     l1 = arm.link1
     l2 = arm.link2
-    reach_max = l1 + l2 - REACH_SLACK
+    arm_span = l1 + l2
+    reach_max = arm_span - REACH_SLACK
     reach_min = abs(l1 - l2) + INNER_SLACK
     v_max = arm.max_speed
     a_brake = arm.brake_decel
+    a_step = a_brake * dt
+    two_a = 2.0 * a_brake
     pick_radius = arm.pick_radius
     bin_x, bin_y = arm.bin
 
@@ -155,6 +191,8 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     # Quadratic coefficients of the speed governor: largest v with
     # S_p(v) + v_h * (v / a) + 2 dt (v + v_h) <= perceived distance.
     gov_b = t_r + v_h / a_brake + 2.0 * dt
+    gov_bb = gov_b * gov_b
+    gov_4a = 4.0 * inv_2a
     gov_k0 = sp_static + 2.0 * dt * v_h
 
     # Operator script.
@@ -163,10 +201,19 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     hand_speed = op.hand_speed
     approach = op.approach_time
 
+    # Every arm point stays within arm_radius of the base: the elbow sits
+    # a link away, and the effector starts at the bin and then only moves
+    # toward targets clamped into the reach annulus. So the torso is at
+    # least this far from the arm, less a margin far above rounding.
+    arm_radius = max(arm_span, math.hypot(bin_x - base_x, bin_y - base_y))
+    torso_bound = (math.hypot(torso_x - base_x, torso_y - base_y)
+                   - arm_radius - TORSO_BOUND_MARGIN)
+
     # Perception constants folded down to one pre-occlusion probability.
     cam_xy = cam.position
     cam_x, cam_y = cam_xy
-    cam_yaw = cam.yaw
+    cos_yaw = math.cos(cam.yaw)
+    sin_yaw = math.sin(cam.yaw)
     half_angle = cam.fov_half_angle
     p_clear = detection_probability(
         per.p_base, env.illuminance, env.contrast, occlusion=0.0,
@@ -192,6 +239,22 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     last_hand_x = 0.0
     last_hand_y = 0.0
 
+    # What a step reuses from an earlier one while its inputs are equal.
+    # The hand moves only along y (hand_x is the torso's x), a stale flag
+    # marks a result that an arm move invalidated, and NaN equals nothing,
+    # so the first step computes everything.
+    view_hand_y = math.nan      # hand position behind in_view
+    in_view = False
+    gov_d_perc = math.nan       # perceived distance behind v_allow
+    v_allow = 0.0
+    sep_hand_y = math.nan       # hand position behind d_hand
+    sep_stale = True            # d_hand
+    d_hand = math.inf
+    torso_stale = True          # d_torso
+    d_torso = math.inf
+    sp_v_r = math.nan           # robot speed behind s_p
+    s_p = 0.0
+
     fov_steps = 0
     miss_steps = 0
     objects_fallen = 0
@@ -210,7 +273,7 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
             if off_belt[i]:
                 continue
             if i < n_spawned:
-                travel[i] += belt_speed * dt
+                travel[i] += belt_step
             elif t >= i * spawn_interval:
                 n_spawned += 1
                 travel[i] = (t - i * spawn_interval) * belt_speed
@@ -236,25 +299,31 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
         if p_clear > 0.0:
             for i, ox, oy in on_belt:
                 if not acquired[i] and (ignore_occ or in_field_of_view(
-                        cam_x, cam_y, cam_yaw, half_angle, ox, oy)):
+                        cam_x, cam_y, cos_yaw, sin_yaw, half_angle, ox, oy)):
                     if p_clear >= 1.0 or rng.random() < p_clear:
                         acquired[i] = True
-        in_view = ignore_occ or in_field_of_view(cam_x, cam_y, cam_yaw,
-                                                 half_angle, hand_x, hand_y)
+        if hand_y != view_hand_y:
+            view_hand_y = hand_y
+            in_view = ignore_occ or in_field_of_view(
+                cam_x, cam_y, cos_yaw, sin_yaw, half_angle, hand_x, hand_y)
         if in_view:
             fov_steps += 1
             if p_clear > 0.0:
                 # One uniform draw decides the step; a saturated p_clear
-                # needs none.
+                # needs none. A draw at or past p_clear is a miss whatever
+                # blocks the view.
                 u = rng.random() if p_clear < 1.0 else 0.0
-                links = discs = ()
-                if not ignore_occ:
-                    links = ((base_x, base_y, elbow_x, elbow_y,
-                              ARM_LINK_RADIUS),
-                             (elbow_x, elbow_y, ee_x, ee_y, ARM_LINK_RADIUS))
-                    discs = [(ox, oy, OBJECT_RADIUS) for _, ox, oy in on_belt]
-                detected = hand_detected(u, p_clear, cam_xy,
-                                         (hand_x, hand_y), links, discs)
+                if u < p_clear:
+                    links = discs = ()
+                    if not ignore_occ:
+                        links = ((base_x, base_y, elbow_x, elbow_y,
+                                  ARM_LINK_RADIUS),
+                                 (elbow_x, elbow_y, ee_x, ee_y,
+                                  ARM_LINK_RADIUS))
+                        discs = [(ox, oy, OBJECT_RADIUS)
+                                 for _, ox, oy in on_belt]
+                    detected = hand_detected(u, p_clear, cam_xy,
+                                             (hand_x, hand_y), links, discs)
             if detected:
                 hand_age = 0
                 last_hand_x = hand_x
@@ -327,39 +396,48 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
             else:
                 # Drop-off: ride the brake envelope in, so the leg runs
                 # at speed yet still settles onto the bin point.
-                v_des = math.sqrt(2.0 * a_brake * goal_dist)
+                v_des = math.sqrt(two_a * goal_dist)
             if v_des > v_max:
                 v_des = v_max
         else:
             goal_dist = 0.0
             v_des = 0.0
 
-        # Speed governor against the perceived human position.
+        # Speed governor against the perceived human position. A fix at
+        # the hand position of the last step's separation makes the same
+        # distance calls on the same arm pose, so that d_hand is d_perc (a
+        # tracked fix shares the torso's x with every hand position).
         if tracked:
-            d_perc = min(
-                point_segment_distance(last_hand_x, last_hand_y,
-                                       base_x, base_y, elbow_x, elbow_y),
-                point_segment_distance(last_hand_x, last_hand_y,
-                                       elbow_x, elbow_y, ee_x, ee_y))
             if mode_stop:
                 inside = math.hypot(last_hand_x - base_x,
-                                    last_hand_y - base_y) <= l1 + l2
+                                    last_hand_y - base_y) <= arm_span
                 v_cmd = 0.0 if inside else v_des
             else:
-                disc = gov_b * gov_b - 4.0 * inv_2a * (gov_k0 - d_perc)
-                if disc <= 0.0:
-                    v_allow = 0.0
+                if last_hand_y == sep_hand_y:
+                    d_perc = d_hand
                 else:
-                    v_allow = (math.sqrt(disc) - gov_b) * a_brake
-                    if v_allow < 0.0:
+                    d_perc = min(
+                        point_segment_distance(last_hand_x, last_hand_y,
+                                               base_x, base_y,
+                                               elbow_x, elbow_y),
+                        point_segment_distance(last_hand_x, last_hand_y,
+                                               elbow_x, elbow_y, ee_x, ee_y))
+                if d_perc != gov_d_perc:
+                    gov_d_perc = d_perc
+                    disc = gov_bb - gov_4a * (gov_k0 - d_perc)
+                    if disc <= 0.0:
                         v_allow = 0.0
+                    else:
+                        v_allow = (math.sqrt(disc) - gov_b) * a_brake
+                        if v_allow < 0.0:
+                            v_allow = 0.0
                 v_cmd = v_des if v_des < v_allow else v_allow
         else:
             v_cmd = v_des
 
         # Acceleration limits; braking authority is a_brake.
-        lo = v_prev - a_brake * dt
-        hi = v_prev + a_brake * dt
+        lo = v_prev - a_step
+        hi = v_prev + a_step
         v_new = v_cmd
         if v_new < lo:
             v_new = lo
@@ -371,10 +449,11 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
             v_new = v_max
 
         # Move the end effector straight at the target, then cap the fastest
-        # arm point (effector or elbow) at the commanded speed.
-        old_x, old_y = ee_x, ee_y
-        old_elbow_x, old_elbow_y = elbow_x, elbow_y
+        # arm point (effector or elbow) at the commanded speed. The robot
+        # speed is that of the fastest point over the step.
+        v_r = 0.0
         if v_new > 0.0 and goal_dist > 1e-12:
+            old_x, old_y = ee_x, ee_y
             step_len = v_new * dt
             if step_len >= goal_dist:
                 new_x, new_y = target_x, target_y
@@ -384,24 +463,19 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
             # The commanded speed bounds every arm point, elbow included.
             # Shrink the effector displacement until the fastest point
             # complies; bail out to no motion if the contraction stalls.
-            ok = False
             for _ in range(8):
                 nex, ney = two_link_elbow(base_x, base_y, new_x, new_y, l1, l2)
                 v_pt = max(math.hypot(new_x - old_x, new_y - old_y),
-                           math.hypot(nex - old_elbow_x,
-                                      ney - old_elbow_y)) / dt
+                           math.hypot(nex - elbow_x, ney - elbow_y)) / dt
                 if v_pt <= v_new + 1e-9 or v_pt <= 1e-12:
-                    ok = True
+                    ee_x, ee_y = new_x, new_y
+                    elbow_x, elbow_y = nex, ney
+                    v_r = v_pt
+                    sep_stale = torso_stale = True
                     break
                 shrink = v_new / v_pt
                 new_x = old_x + (new_x - old_x) * shrink
                 new_y = old_y + (new_y - old_y) * shrink
-            if ok:
-                ee_x, ee_y = new_x, new_y
-                elbow_x, elbow_y = nex, ney
-        v_r = max(math.hypot(ee_x - old_x, ee_y - old_y),
-                  math.hypot(elbow_x - old_elbow_x,
-                             elbow_y - old_elbow_y)) / dt
         v_prev = v_new
 
         # Pick and place bookkeeping after the move.
@@ -416,17 +490,37 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
                 chase = None
 
         # True separation between the operator (hand plus torso anchor) and
-        # both arm links.
-        d_true = min(
-            point_segment_distance(hand_x, hand_y, base_x, base_y,
-                                   elbow_x, elbow_y),
-            point_segment_distance(hand_x, hand_y, elbow_x, elbow_y,
-                                   ee_x, ee_y),
-            point_segment_distance(torso_x, torso_y, base_x, base_y,
-                                   elbow_x, elbow_y),
-            point_segment_distance(torso_x, torso_y, elbow_x, elbow_y,
-                                   ee_x, ee_y))
-        s_p = protective_distance(v_r, t_r, v_h, a_brake, clearance)
+        # both arm links. The torso's distance can be left out where it
+        # cannot be the smaller: while the hand is nearer the arm than the
+        # torso may ever be, while the hand is at the torso (the same
+        # calls on the same points), and while the whole arm lies below
+        # the midpoint of the hand and the torso straight above it, by a
+        # squared-distance gap that rounding cannot close.
+        if sep_stale or hand_y != sep_hand_y:
+            sep_stale = False
+            sep_hand_y = hand_y
+            d_hand = min(
+                point_segment_distance(hand_x, hand_y, base_x, base_y,
+                                       elbow_x, elbow_y),
+                point_segment_distance(hand_x, hand_y, elbow_x, elbow_y,
+                                       ee_x, ee_y))
+        if d_hand < torso_bound or hand_y == torso_y or (
+                (torso_y - hand_y)
+                * (torso_y + hand_y - 2.0 * max(base_y, elbow_y, ee_y))
+                >= TORSO_GAP):
+            d_true = d_hand
+        else:
+            if torso_stale:
+                torso_stale = False
+                d_torso = min(
+                    point_segment_distance(torso_x, torso_y, base_x, base_y,
+                                           elbow_x, elbow_y),
+                    point_segment_distance(torso_x, torso_y, elbow_x, elbow_y,
+                                           ee_x, ee_y))
+            d_true = min(d_hand, d_torso)
+        if v_r != sp_v_r:
+            sp_v_r = v_r
+            s_p = protective_distance(v_r, t_r, v_h, a_brake, clearance)
         margin = d_true - s_p
         if margin < min_margin:
             min_margin = margin

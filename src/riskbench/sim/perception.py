@@ -61,14 +61,18 @@ def detection_probability(p_base: float, illuminance: float, contrast: float,
     return p_base * gate * (contrast ** contrast_exponent) * (1.0 - occlusion)
 
 
-def in_field_of_view(cam_x: float, cam_y: float, yaw: float,
-                     half_angle: float, px: float, py: float) -> bool:
+def in_field_of_view(cam_x: float, cam_y: float, cos_yaw: float,
+                     sin_yaw: float, half_angle: float, px: float,
+                     py: float) -> bool:
+    """Whether (px, py) lies in the cone of a camera at (cam_x, cam_y)
+    whose view direction has the given cosine and sine. The caller takes
+    them once per camera, not once per point."""
     dx = px - cam_x
     dy = py - cam_y
     r = math.hypot(dx, dy)
     if r < 1e-12:
         return True
-    cos_to_point = (dx * math.cos(yaw) + dy * math.sin(yaw)) / r
+    cos_to_point = (dx * cos_yaw + dy * sin_yaw) / r
     # Guard acos domain; compare angles rather than cosines so half_angle
     # values above pi/2 behave.
     if cos_to_point > 1.0:
@@ -111,9 +115,11 @@ def hand_detected(u: float, p_clear: float, cam: tuple, hand: tuple,
     """Whether a uniform draw u detects the in-view hand.
 
     Detection holds iff u < p_clear * (1 - occ), with occ the blocked
-    fraction of the sample-ray fan. The blocked count only moves the
-    threshold one way, so the ray tests stop as soon as a partial count
-    settles the comparison. Blockers are given as in occlusion_fraction.
+    fraction of the sample-ray fan. That threshold falls as the blocked
+    count rises, so detection holds iff fewer rays are blocked than the
+    least count whose threshold u reaches; the ray tests stop as soon as
+    the count so far settles that. Blockers are given as in
+    occlusion_fraction.
     """
     if u >= p_clear:
         return False
@@ -122,17 +128,24 @@ def hand_detected(u: float, p_clear: float, cam: tuple, hand: tuple,
     near = _near_blockers(cam_x, cam_y, hand_x, hand_y, segments, discs)
     if not near:
         return True
-    blocked = 0
-    for k, (off_x, off_y) in enumerate(_SAMPLE_OFFSETS, 1):
-        blocked += _ray_blocked(cam_x, cam_y, hand_x + off_x, hand_y + off_y,
-                                near)
-        threshold = p_clear * (1.0 - blocked / _N_RAYS)
-        # Settled when the hits so far rule detection out, or when even
-        # blocking every remaining ray would not.
-        if u >= threshold or u < p_clear * (
-                1.0 - (blocked + N_OCCLUSION_RAYS - k) / _N_RAYS):
-            break
-    return u < threshold
+    # The least blocked count whose threshold u reaches, if any does.
+    limit = 1
+    while u < p_clear * (1.0 - limit / _N_RAYS):
+        if limit == N_OCCLUSION_RAYS:
+            return True
+        limit += 1
+    # Detection then needs this many clear rays. Of the fan's rays, either
+    # that many are clear or `limit` are blocked, so the loop returns.
+    needed = N_OCCLUSION_RAYS + 1 - limit
+    for off_x, off_y in _SAMPLE_OFFSETS:
+        if _ray_blocked(cam_x, cam_y, hand_x + off_x, hand_y + off_y, near):
+            limit -= 1
+            if not limit:
+                return False
+        else:
+            needed -= 1
+            if not needed:
+                return True
 
 
 def occlusion_fraction(cam_x: float, cam_y: float, yaw: float,
@@ -144,7 +157,8 @@ def occlusion_fraction(cam_x: float, cam_y: float, yaw: float,
     (x, y, radius). Returns 1.0 outright when the hand is outside the
     camera cone.
     """
-    if not in_field_of_view(cam_x, cam_y, yaw, half_angle, hand_x, hand_y):
+    if not in_field_of_view(cam_x, cam_y, math.cos(yaw), math.sin(yaw),
+                            half_angle, hand_x, hand_y):
         return 1.0
     near = _near_blockers(cam_x, cam_y, hand_x, hand_y, segments, discs)
     return sum(_ray_blocked(cam_x, cam_y, hand_x + off_x, hand_y + off_y, near)

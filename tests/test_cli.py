@@ -796,6 +796,47 @@ def test_explain_loads_no_campaign_simulator_or_pool(campaign):
     assert "no rules met" in (campaign / "one" / "rules.txt").read_text()
 
 
+@pytest.mark.parametrize("command", [
+    ("validate", "--model", MODEL),
+    ("run", "--config", "c.config", "--out", "again"),
+    ("explain", "camp/archive.csv", "--model", MODEL, "--out", "explained"),
+    ("replay", "point.json", "--model", MODEL, "--scenario", SCENARIO,
+     "--out", "replayed"),
+], ids=lambda command: command[0])
+def test_every_command_freezes_its_import_heap(campaign, command):
+    (campaign / "point.json").write_text(json.dumps(_POINT))
+    frozen = _fresh_cli(*command, cwd=campaign, before="import gc",
+                        report="gc.get_freeze_count()")
+    # Importing click and the package alone makes over ten thousand
+    # objects that the collector tracks.
+    assert int(frozen) > 10_000
+
+
+def test_a_second_command_in_one_process_freezes_nothing_more(tmp_path):
+    # Objects made between the commands stay unfrozen: a second freeze
+    # would add all ten thousand of them.
+    probe = ("import gc\n"
+             "from riskbench.cli import main\n"
+             "def validate():\n"
+             "    try:\n"
+             f"        main(['validate', '--model', {str(MODEL)!r}])\n"
+             "    except SystemExit:\n"
+             "        pass\n"
+             "validate()\n"
+             "first = gc.get_freeze_count()\n"
+             "kept = [[] for _ in range(10_000)]\n"
+             "validate()\n"
+             "print(first, gc.get_freeze_count())\n")
+    env = {**os.environ, "PYTHONPATH": _PACKAGE_ROOT}
+    result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                            env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    first, second = map(int, result.stdout.split()[-2:])
+    assert first > 10_000
+    assert second <= first
+
+
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 

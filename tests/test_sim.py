@@ -1,12 +1,13 @@
 """Simulator determinism, perception model, and event evaluation."""
 
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import fields
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from riskbench.datafiles import data_text
@@ -27,6 +28,7 @@ from riskbench.sim.perception import (detection_probability, hand_detected,
                                       occlusion_fraction)
 from riskbench.sim.scenario import _DOMAINS, _TYPES, SCENARIO_FIELDS
 
+import reference_engine
 from conftest import just_outside
 
 
@@ -95,10 +97,11 @@ def test_detection_probability_rejects_bad_inputs():
 
 
 def test_field_of_view():
-    # Camera at origin looking along +x with a 45 degree half angle.
-    assert in_field_of_view(0.0, 0.0, 0.0, math.pi / 4, 1.0, 0.5)
-    assert not in_field_of_view(0.0, 0.0, 0.0, math.pi / 4, -1.0, 0.0)
-    assert not in_field_of_view(0.0, 0.0, 0.0, math.pi / 4, 1.0, 1.5)
+    # Camera at origin looking along +x (yaw 0: cosine 1, sine 0) with a
+    # 45 degree half angle.
+    assert in_field_of_view(0.0, 0.0, 1.0, 0.0, math.pi / 4, 1.0, 0.5)
+    assert not in_field_of_view(0.0, 0.0, 1.0, 0.0, math.pi / 4, -1.0, 0.0)
+    assert not in_field_of_view(0.0, 0.0, 1.0, 0.0, math.pi / 4, 1.0, 1.5)
 
 
 def test_occlusion_fraction_geometry():
@@ -124,6 +127,9 @@ _RADIUS = st.floats(0.005, 0.1)
 
 
 @settings(max_examples=300)
+# One ray of the fan blocked, and a draw in the top sixteenth of p: that
+# one ray rules detection out.
+@example(0.97, 1.0, (0.0, 0.0), (2.0, 0.0), [], [(1.95, 0.05, 0.002)])
 @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0),
        st.tuples(_FAR, _FAR), st.tuples(_NEAR, _NEAR),
        st.lists(st.tuples(_NEAR, _NEAR, _NEAR, _NEAR, _RADIUS),
@@ -392,6 +398,80 @@ def test_a_random_binding_sweep_reproduces_its_digest():
             digest.update(trace_to_csv(trace).encode())
             digest.update(repr(trace.metrics).encode())
     assert digest.hexdigest() == _SWEEP_SHA256
+
+
+# What the shipped cells in SSM mode never reach: the stop-and-go
+# controller, occlusion ignored, a camera that sees nothing (illuminance
+# at the floor, p_clear 0) or everything it has in view (p_clear 1), and
+# other geometries. In those, the effector starts inside the hole of the
+# reach annulus; a narrow camera's cone edge cuts the hand's path; the
+# operator stands at the belt, below an effector that starts past the
+# annulus; or the arm hangs above the operator with its bin past the
+# annulus beside the torso. In the last two the torso, not the hand, can
+# be nearest the arm.
+_MODES = ("ssm", MODE_MONITORED_STOP)
+_LIGHTING = (
+    (),
+    (("environment.illuminance", 50.0),),
+    (("perception.p_base", 1.0), ("environment.illuminance", 2000.0),
+     ("environment.contrast", 1.0)),
+)
+_GEOMETRIES = (
+    (),
+    (("arm.bin", (0.05, 0.04)),),
+    (("camera.position", (1.0, 1.4)), ("camera.yaw", 3.14159),
+     ("camera.fov_half_angle", 0.15)),
+    (("operator.start", (0.0, 0.9)), ("arm.bin", (0.2, 1.3))),
+    (("arm.base", (0.0, 3.0)), ("arm.bin", (0.3, 1.7))),
+)
+
+
+def _variant(bound, mode, ignore_occlusion, lighting, geometry):
+    scenario = scenario_with(bound, "controller.mode", mode)
+    scenario = scenario_with(scenario, "perception.ignore_occlusion",
+                             ignore_occlusion)
+    for path, value in lighting + geometry:
+        scenario = scenario_with(scenario, path, value)
+    return scenario
+
+
+@pytest.mark.parametrize("cell", sorted(_SHIPPED))
+@settings(max_examples=60)
+@given(data=st.data(), mode=st.sampled_from(_MODES), ignore=st.booleans(),
+       lighting=st.sampled_from(_LIGHTING),
+       geometry=st.sampled_from(_GEOMETRIES), seed=st.integers(0, 2**31 - 1))
+def test_simulate_matches_the_reference_kernel(cell, data, mode, ignore,
+                                               lighting, geometry, seed):
+    model, scenario = _SHIPPED[cell]
+    bound = _variant(bind_assignment(scenario, model,
+                                     data.draw(_binding(model))),
+                     mode, ignore, lighting, geometry)
+    trace = simulate(bound, seed)
+    expected = reference_engine.simulate(bound, seed)
+    assert trace.steps == expected.steps
+    assert trace.metrics == expected.metrics
+
+
+# Frozen from a seeded sweep over every variant above, two random
+# bindings each.
+_VARIANT_SWEEP_SHA256 = \
+    "884ae8034c42591f54b02e4fc7685ec1b1861dd902b21fb43db49958f4106673"
+
+
+def test_a_variant_sweep_reproduces_its_digest():
+    digest = hashlib.sha256()
+    rng = random.Random(8)
+    for model, scenario in _SHIPPED.values():
+        for variant in itertools.product(_MODES, (False, True), _LIGHTING,
+                                         _GEOMETRIES):
+            for _ in range(2):
+                bound = _variant(bind_assignment(scenario, model, {
+                    f.name: rng.uniform(f.lo, f.hi)
+                    for f in model.features}), *variant)
+                trace = simulate(bound, rng.randrange(2**31))
+                digest.update(trace_to_csv(trace).encode())
+                digest.update(repr(trace.metrics).encode())
+    assert digest.hexdigest() == _VARIANT_SWEEP_SHA256
 
 
 # -- event evaluation ------------------------------------------------------
