@@ -47,7 +47,7 @@ from .sim.scenario import check_bindings, load_scenario
 # (`_load`) before it runs, so `validate` never loads the simulator or the
 # search. Patches on this module, by tests or a tracer, replace what the
 # commands call.
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, _ = lazy_exports(globals(), {
     ".explain": ("dataset_from_rows", "estimate_event_likelihood",
                  "extract_rules", "generate_counterexamples", "induce_tree",
                  "rules_report", "rules_to_json", "tree_to_json"),

@@ -7,21 +7,20 @@ Ties break toward the lower feature index, then the lower threshold (for
 categoricals: the earlier declared category). No pruning; growth stops on
 depth, node size, purity, or a gain floor.
 
-Split search is CART's presort-and-sweep (Breiman et al., 1984) in plain
-Python. The dataset is packed once: a list of floats per numeric column,
-category codes per categorical column, a flag per row for the
-non-compliant label. At the root each numeric column's rows are sorted
-once by value; a node hands each child its rows in every such order by
-stable filtering on the split's side, so no node sorts again. Per node,
-each numeric column is swept in order with cumulative class counts and
-each categorical column is counted, and every candidate's gain is
-computed inline, so a node with n rows and d columns costs O(d·n).
+Split search sorts and sweeps, as in CART (Breiman et al., 1984), in
+plain Python. The dataset is packed once: a list of floats per numeric
+column, category codes per categorical column, a flag per row for the
+non-compliant label. Per node, each numeric column's rows are sorted by
+value and swept with cumulative class counts, each categorical column is
+counted, and every candidate's gain is computed inline, so a node with n
+rows and d columns costs O(d·n log n), the sort running in C.
 
 The search uses only +, -, ×, ÷ and comparisons on doubles, and
 evaluates the gain in one fixed order, so the trees equal bit for bit
-those of the numpy array search this replaced and of the sweep over
-Python row tuples kept as a test oracle. An integer value is exact in a
-double only within ±2^53, so a larger one is refused.
+those of the sweep over Python row tuples and of the rescanning search
+kept as test oracles. An integer value is exact in a double only within
+±2^53, so a larger one is refused; so is a NaN or infinite value, which
+no threshold test can place.
 
 `explain` needs only the standard library here: on archives of up to a
 few thousand rows the sweep costs less than importing numpy does, and
@@ -117,32 +116,28 @@ class _Table:
                     min(cells) < -EXACT_INT or max(cells) > EXACT_INT):
                 raise DomainError(f"feature {column.name!r} holds an integer "
                                   f"beyond 2^53 in magnitude")
-            self.values.append(list(map(float, cells)))
+            floats = list(map(float, cells))
+            if not all(map(math.isfinite, floats)):
+                raise DomainError(f"feature {column.name!r} holds a "
+                                  f"non-finite value")
+            self.values.append(floats)
         self.is_nc = [label == LABEL_NON_COMPLIANCE for _, label in rows]
 
-    def root(self):
-        """The node of every row: (rows, per numeric column its rows in
-        ascending order of value, ties in row order)."""
-        every_row = range(len(self.is_nc))
-        return list(every_row), [
-            None if column.kind == CATEGORICAL
-            else sorted(every_row, key=values.__getitem__)
-            for column, values in zip(self.columns, self.values)]
-
-    def _candidates(self, idx, node):
+    def _candidates(self, idx, rows):
         """(candidate, n_left, nc_left) of each test on one column, in
         scanning order; left is `value <= candidate` (numeric) or
         `code == candidate` (categorical)."""
-        rows, orders = node
         values, is_nc = self.values[idx], self.is_nc
-        if orders[idx] is None:
+        if self.columns[idx].kind == CATEGORICAL:
             k = len(self.columns[idx].values)
             n_left, nc_left = [0] * (k + 1), [0] * (k + 1)
             for i in rows:
                 n_left[values[i]] += 1
                 nc_left[values[i]] += is_nc[i]
             return zip(range(k), n_left, nc_left)
-        order = orders[idx]
+        # How equal values order among themselves does not matter: tests sit
+        # only between distinct values.
+        order = sorted(rows, key=values.__getitem__)
         keys = [values[i] for i in order]
         nc_before = list(accumulate(map(is_nc.__getitem__, order), initial=0))
         found = []
@@ -159,21 +154,22 @@ class _Table:
             found.append((candidate, n_left, nc_before[n_left]))
         return found
 
-    def best_split(self, node, parent_nc):
-        """(split, set of the rows it sends left) of the highest-Gini-gain test
-        over every column of the node, or None if nothing splits.
+    def best_split(self, rows, parent_nc):
+        """(split, rows it sends left, the other rows) of the
+        highest-Gini-gain test over every column of the node's rows, or
+        None if nothing splits.
 
         Candidates are scanned by feature index and then ascending, and the
         first of equal gains is kept, which yields the documented
         tie-breaking.
         """
-        total = len(node[0])
+        total = len(rows)
         if parent_nc in (0, total):     # one label, or no row
             return None
         parent_gini = _gini(total - parent_nc, parent_nc)
         best_gain, best = -math.inf, None
         for idx in range(len(self.columns)):
-            for candidate, n_left, nc_left in self._candidates(idx, node):
+            for candidate, n_left, nc_left in self._candidates(idx, rows):
                 n_right = total - n_left
                 if n_left == 0 or n_right == 0:
                     continue
@@ -193,48 +189,37 @@ class _Table:
             return None
         idx, candidate = best
         column, values = self.columns[idx], self.values[idx]
-        if column.kind == CATEGORICAL:
-            threshold = column.values[candidate]
-            left = {i for i in node[0] if values[i] == candidate}
-        else:
-            threshold = candidate
-            left = {i for i in node[0] if values[i] <= threshold}
+        categorical = column.kind == CATEGORICAL
+        left, right = [], []
+        for i in rows:
+            if values[i] == candidate if categorical else values[i] <= candidate:
+                left.append(i)
+            else:
+                right.append(i)
+        threshold = column.values[candidate] if categorical else candidate
         return Split(feature_index=idx, feature_name=column.name,
                      kind=column.kind, threshold=threshold,
-                     gain=best_gain), left
-
-
-def _divide(node, left):
-    """The children of a node, the rows in `left` and the others, each
-    keeping the node's orders."""
-    rows, orders = node
-    return (([i for i in rows if i in left],
-             [order and [i for i in order if i in left] for order in orders]),
-            ([i for i in rows if i not in left],
-             [order and [i for i in order if i not in left]
-              for order in orders]))
+                     gain=best_gain), left, right
 
 
 def best_split(rows, columns) -> Split | None:
     """Highest-Gini-gain test over every column of (values, label) rows,
     or None if nothing splits."""
     table = _Table(columns, rows)
-    found = table.best_split(table.root(), sum(table.is_nc))
+    found = table.best_split(range(len(rows)), sum(table.is_nc))
     return found[0] if found else None
 
 
-def _grow(table, node, depth, max_depth, min_leaf, min_gain) -> TreeNode:
-    rows = node[0]
+def _grow(table, rows, depth, max_depth, min_leaf, min_gain) -> TreeNode:
     n_nc = sum(map(table.is_nc.__getitem__, rows))
     n_c = len(rows) - n_nc
     leaf = TreeNode(split=None, count_compliance=n_c, count_non_compliance=n_nc)
     if depth >= max_depth or len(rows) < min_leaf or n_c == 0 or n_nc == 0:
         return leaf
-    found = table.best_split(node, n_nc)
+    found = table.best_split(rows, n_nc)
     if found is None or found[0].gain < min_gain:
         return leaf
-    split, left_rows = found
-    left, right = _divide(node, left_rows)
+    split, left, right = found
     return TreeNode(
         split=split,
         left=_grow(table, left, depth + 1, max_depth, min_leaf, min_gain),
@@ -249,15 +234,9 @@ def induce_tree(dataset: LabeledDataset, max_depth: int = DEFAULT_MAX_DEPTH,
                 min_gain: float = DEFAULT_MIN_GAIN) -> DecisionTree:
     if not dataset.rows:
         raise DomainError("cannot induce a tree from an empty dataset")
-    n_nc = sum(label == LABEL_NON_COMPLIANCE for _, label in dataset.rows)
-    if n_nc in (0, len(dataset.rows)):
-        # One label: the root is a leaf.
-        root = TreeNode(split=None,
-                        count_compliance=len(dataset.rows) - n_nc,
-                        count_non_compliance=n_nc)
-    else:
-        table = _Table(dataset.columns, dataset.rows)
-        root = _grow(table, table.root(), 0, max_depth, min_leaf, min_gain)
+    table = _Table(dataset.columns, dataset.rows)
+    root = _grow(table, range(len(dataset.rows)), 0, max_depth, min_leaf,
+                 min_gain)
     return DecisionTree(root=root, columns=dataset.columns,
                         n_rows=len(dataset.rows), max_depth=max_depth,
                         min_leaf=min_leaf, min_gain=min_gain)

@@ -14,9 +14,9 @@ import importlib
 
 
 def lazy_exports(namespace: dict, modules: dict):
-    """`__getattr__` and `__dir__` for the module whose globals are
-    `namespace`; `modules` maps a module path, relative to that module's
-    package, to the public names it defines."""
+    """`__getattr__`, `__dir__` and the list of exported names for the
+    module whose globals are `namespace`; `modules` maps a module path,
+    relative to that module's package, to the public names it defines."""
     where = {name: module for module, names in modules.items()
              for name in names}
     anchor = namespace["__package__"]
@@ -34,4 +34,4 @@ def lazy_exports(namespace: dict, modules: dict):
     def __dir__():
         return sorted(namespace.keys() | where.keys())
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(where)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from ..errors import ModelInvalidError
 from ..lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".assurance": ("AssuranceCase", "EvidenceSlot", "cases_to_json",
                    "derive_assurance_cases"),
     ".model": ("CATEGORICAL", "CONTINUOUS", "INTEGER", "NEGATIVE", "POSITIVE",
@@ -31,11 +31,4 @@ def load_model(text: str) -> RiskModel:
     return model
 
 
-__all__ = [
-    "Actor", "AssuranceCase", "CATEGORICAL", "CONTINUOUS", "Condition",
-    "Diagnostic", "DomainFeature", "Event", "EvidenceSlot", "Goal", "INTEGER",
-    "Indicator", "Likelihood", "NEGATIVE", "POSITIVE", "RiskModel",
-    "Situation", "annotate_likelihoods", "cases_to_json",
-    "derive_assurance_cases", "load_model", "parse_risk_model",
-    "serialize_model", "validate",
-]
+__all__.append("load_model")

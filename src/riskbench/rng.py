@@ -1,5 +1,7 @@
-"""`numpy.random.default_rng(seed)` in pure Python: the one random
-generator of the package.
+"""`numpy.random.default_rng(seed)` in pure Python: the random generator
+of the search and of the counterexample sampler. The simulator keeps
+Python's Mersenne Twister (`random.Random(seed)`), because another
+generator would change every trace and archive digest.
 
 The stream is numpy's bit for bit, for the draws the package makes:
 `random()`, `uniform(low, high)`, `normal(loc, scale)` and

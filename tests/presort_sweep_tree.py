@@ -1,12 +1,10 @@
-"""The plain-Python presort-and-sweep split search, as the reference that
-the array-based search must reproduce tree for tree.
+"""A split search over Python row tuples that sorts each node's rows once
+per column and sweeps them, as the reference that `induce_tree` must
+reproduce tree for tree.
 
-`best_split`, `_grow` and their helpers are copied verbatim from the
-search that ran on row tuples, before the array-based one; they are kept
-here, outside the package, so that a change to the package cannot change
-the reference with it. This oracle sorts once per column per node, so it
-is fast enough for datasets of thousands of rows, unlike the rescanning
-oracle in test_explain.py.
+It is kept here, outside the package, so that a change to the package
+cannot change the reference with it. It is fast enough for datasets of
+thousands of rows, unlike the rescanning oracle in test_explain.py.
 """
 
 from bisect import bisect_right

@@ -83,9 +83,21 @@ def test_no_split_on_a_constant_column():
 
 def test_an_integer_a_float_cannot_hold_is_refused():
     big = DomainFeature(name="n", kind="integer", lo=0, hi=2 ** 60)
-    rows = [((EXACT_INT,), C), ((EXACT_INT + 1,), NC)]
-    with pytest.raises(DomainError, match="beyond 2\\^53"):
-        induce_tree(dataset((big,), rows))
+    # A dataset of one label is packed, and refused, as one of two is.
+    for last in (NC, C):
+        rows = [((EXACT_INT,), C), ((EXACT_INT + 1,), last)]
+        with pytest.raises(DomainError, match="beyond 2\\^53"):
+            induce_tree(dataset((big,), rows))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_value_is_refused(value):
+    # NaN fails every `<=` test, and a midpoint next to ±inf is ±inf: no
+    # threshold test places such rows.
+    rows = [((float(i),), NC if i > 4 else C) for i in range(8)]
+    rows += [((value,), C), ((value,), NC)]
+    with pytest.raises(DomainError, match="'f0' holds a non-finite value"):
+        induce_tree(dataset((F0,), rows))
 
 
 # -- tree induction ------------------------------------------------------------
@@ -331,8 +343,8 @@ def test_tree_equals_the_rescanning_oracle(ds, min_leaf, min_gain):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_tree_equals_the_presort_sweep_on_2000_rows(seed):
-    # The rescanning oracle is too slow at this size; the plain-Python
-    # presort-and-sweep that the array search replaced is not.
+    # The rescanning oracle is too slow at this size; the sort-and-sweep
+    # over row tuples is not.
     rng = random.Random(seed)
     kinds = [rng.choice(KINDS) for _ in range(rng.randint(3, 6))]
     ds = mixed_dataset(rng, kinds, 2000, rng.randint(20, 400),
