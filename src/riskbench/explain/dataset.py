@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import DomainError
+from ..record import Record
 from ..search.algorithms import Archive
 from ..search.space import FeatureSpace
 from ..sim.events import LABEL_NON_COMPLIANCE
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
+class LabeledDataset(Record):
     columns: tuple            # DomainFeature per column, archive order
     rows: tuple               # (value tuple, label) pairs
 

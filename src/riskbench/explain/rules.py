@@ -10,17 +10,16 @@ for membership checks and for the report text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..errors import DomainError, EmptyRegionError
+from ..record import Record
 from ..riskml.model import CATEGORICAL, INTEGER
 from ..rng import Generator
 from ..search.space import FeatureSpace
 from .tree import DecisionTree, TreeNode
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     feature: str
     kind: str
     lo: float = 0.0
@@ -35,8 +34,7 @@ class Constraint:
         return above and value <= self.hi
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     id: int
     constraints: tuple
     likelihood: float
@@ -52,8 +50,7 @@ class Rule:
         return all(c.admits(assignment[c.feature]) for c in self.constraints)
 
 
-@dataclass(frozen=True)
-class AugmentationSet:
+class AugmentationSet(Record):
     assignments: tuple
     rule_id: int
 

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 
 from ..errors import DomainError, UnknownNameError
+from ..record import Record
 from ..riskml.model import CATEGORICAL, EXACT_INT, INTEGER
 from ..sim.events import LABEL_NON_COMPLIANCE
 from .dataset import LabeledDataset
@@ -44,8 +44,7 @@ DEFAULT_MIN_LEAF = 5
 DEFAULT_MIN_GAIN = 1e-6
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(Record):
     feature_index: int
     feature_name: str
     kind: str
@@ -58,8 +57,7 @@ class Split:
         return value <= self.threshold
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(Record):
     split: Split | None       # None marks a leaf
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
@@ -76,8 +74,7 @@ class TreeNode:
         return self.count_non_compliance / total if total else 0.0
 
 
-@dataclass(frozen=True)
-class DecisionTree:
+class DecisionTree(Record):
     root: TreeNode
     columns: tuple
     n_rows: int
@@ -116,7 +113,11 @@ class _Table:
                     min(cells) < -EXACT_INT or max(cells) > EXACT_INT):
                 raise DomainError(f"feature {column.name!r} holds an integer "
                                   f"beyond 2^53 in magnitude")
-            floats = list(map(float, cells))
+            try:
+                floats = list(map(float, cells))
+            except OverflowError:  # an int past the largest float
+                raise DomainError(f"feature {column.name!r} holds a value "
+                                  f"beyond the float range") from None
             if not all(map(math.isfinite, floats)):
                 raise DomainError(f"feature {column.name!r} holds a "
                                   f"non-finite value")

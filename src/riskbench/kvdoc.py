@@ -9,11 +9,12 @@ domain, and so parses, coerces, checks and formats its values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import field, fields, is_dataclass
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import ConfigError, DomainError
+from .record import Record
 
 
 def read_kv(text: str, source: str = "<string>") -> dict[str, str]:
@@ -46,8 +47,7 @@ def write_kv(entries: dict[str, str]) -> str:
 # -- field tables -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """A field's dotted path, the type of its default, its domain: numbers
     and point coordinates must be finite and in [lo, hi], less a bound that
     is open; a string must be one of `choices`, if it has any."""
@@ -126,7 +126,7 @@ _BOOLS = {**dict.fromkeys(("true", "on", "yes", "1"), True),
           **dict.fromkeys(("false", "off", "no", "0"), False)}
 
 
-class _Type(NamedTuple):
+class _Type(Record):
     noun: str
     text: Callable    # value -> file text
     parse: Callable   # file text -> value, or ValueError/KeyError

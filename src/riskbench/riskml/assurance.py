@@ -9,20 +9,17 @@ falsification campaign can fill.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..record import Record
 from .model import NEGATIVE, RiskModel
 
 
-@dataclass(frozen=True)
-class EvidenceSlot:
+class EvidenceSlot(Record):
     event: str
     status: str = "pending"
     campaign: str | None = None
 
 
-@dataclass(frozen=True)
-class AssuranceCase:
+class AssuranceCase(Record):
     goal: str
     situation: str
     top_claim: str

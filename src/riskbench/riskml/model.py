@@ -10,10 +10,11 @@ guarantees are stated against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 
 from ..errors import DomainError, UnknownNameError
 from ..metrics import TRACE_METRIC_NAMES
+from ..record import Record
 
 CONTINUOUS = "continuous"
 INTEGER = "integer"
@@ -26,20 +27,17 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
-class Actor:
+class Actor(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Goal:
+class Goal(Record):
     name: str
     owner: str
     description: str
 
 
-@dataclass(frozen=True)
-class DomainFeature:
+class DomainFeature(Record):
     """A controllable or observable quantity with an explicit domain.
 
     `binding` is the dotted scenario path the feature drives, e.g.
@@ -73,8 +71,7 @@ class DomainFeature:
         return self.lo <= v <= self.hi
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Record):
     """Threshold test over a published trace metric, e.g. min_margin < 0."""
 
     metric: str
@@ -82,16 +79,14 @@ class Condition:
     threshold: float
 
 
-@dataclass(frozen=True)
-class Likelihood:
+class Likelihood(Record):
     """Estimated occurrence fraction backed by a sample count."""
 
     fraction: float
     samples: int
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     name: str
     polarity: str  # POSITIVE or NEGATIVE
     condition: Condition
@@ -102,15 +97,13 @@ class Event:
         object.__setattr__(self, "impacts", tuple(tuple(i) for i in self.impacts))
 
 
-@dataclass(frozen=True)
-class Indicator:
+class Indicator(Record):
     name: str
     situation: str
     metric: str
 
 
-@dataclass(frozen=True)
-class Situation:
+class Situation(Record):
     name: str
     description: str
     scenario_ref: str
@@ -124,8 +117,7 @@ class Situation:
         object.__setattr__(self, "indicators", tuple(self.indicators))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One violated validation rule, anchored to a named element."""
 
     kind: str
@@ -139,8 +131,7 @@ class Diagnostic:
         return f"{self.kind} '{self.element}': {self.message}{where}"
 
 
-@dataclass(frozen=True)
-class RiskModel:
+class RiskModel(Record):
     actors: tuple[Actor, ...] = ()
     goals: tuple[Goal, ...] = ()
     features: tuple[DomainFeature, ...] = ()

@@ -21,10 +21,10 @@ parses cleanly can still carry semantic diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from ..errors import RiskmlSyntaxError
+from ..record import Record
 from .model import (CATEGORICAL, CONTINUOUS, INTEGER, NEGATIVE, POSITIVE,
                     Actor, Condition, DomainFeature, Event, Goal, Indicator,
                     Likelihood, RiskModel, Situation)
@@ -40,8 +40,7 @@ _PUNCT = "[]{},:<>+-"
 _DECLARATIONS = ("actor", "goal", "feature", "event", "situation")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     type: str  # NAME KEYWORD NUMBER STRING PUNCT EOF
     value: str
     line: int

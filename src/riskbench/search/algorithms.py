@@ -23,10 +23,10 @@ import collections
 import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from ..errors import ConfigError, DomainError, RiskbenchError
 from ..kvdoc import field_table
+from ..record import Record
 from ..rng import Generator
 from .space import FeatureSpace, decode
 
@@ -47,8 +47,7 @@ BATCH_SIZE = 32
 _AHEAD = 2
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     algorithm: str = "random"
     budget: int = 200
     seed: int = 0
@@ -85,19 +84,21 @@ def validate_search_config(config: SearchConfig) -> None:
         raise ConfigError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class EvaluatedPoint:
+class EvaluatedPoint(Record):
     assignment: dict
     robustness: float
     verdict: object
     index: int
 
 
-@dataclass
 class Archive:
-    points: list = field(default_factory=list)
-    best: int = -1
-    violations: list = field(default_factory=list)
+    """The evaluated points in proposal order, the index of the least
+    robust one (-1 while there is none) and the indices of violations."""
+
+    def __init__(self):
+        self.points = []
+        self.best = -1
+        self.violations = []
 
     def record(self, point: EvaluatedPoint) -> None:
         self.points.append(point)

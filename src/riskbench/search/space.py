@@ -8,15 +8,13 @@ categorical dims split the unit interval into equal buckets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import DomainError
+from ..record import Record
 from ..riskml.model import (CATEGORICAL, CONTINUOUS, INTEGER, DomainFeature,
                             RiskModel)
 
 
-@dataclass(frozen=True)
-class FeatureSpace:
+class FeatureSpace(Record):
     dims: tuple[DomainFeature, ...]
 
     def __len__(self) -> int:

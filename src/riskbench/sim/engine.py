@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from ..errors import DomainError
 from ..metrics import TRACE_METRIC_NAMES
+from ..record import Record
 from .geometry import point_segment_distance, two_link_elbow
 from .perception import (ARM_LINK_RADIUS, OBJECT_RADIUS,
                          detection_probability, hand_detected,
@@ -99,8 +99,7 @@ def protective_distance(v_r: float, reaction_time: float,
             + v_r * v_r * (1.0 / (2.0 * brake_decel)))
 
 
-@dataclass(frozen=True)
-class TraceMetrics:
+class TraceMetrics(Record):
     min_margin: float
     min_distance: float
     objects_fallen: int
@@ -111,8 +110,7 @@ class TraceMetrics:
         return {name: float(getattr(self, name)) for name in TRACE_METRIC_NAMES}
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     seed: int
     dt: float
     steps: tuple

@@ -10,23 +10,21 @@ magnitude says how far the metric sits from the threshold:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..errors import DomainError, UnknownNameError
+from ..record import Record
 from ..riskml.model import NEGATIVE, Condition, RiskModel, Situation
 
 LABEL_COMPLIANCE = "compliance"
 LABEL_NON_COMPLIANCE = "non_compliance"
 
 
-@dataclass(frozen=True)
-class EventOutcome:
+class EventOutcome(Record):
     triggered: bool
     robustness: float
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     per_event: dict
     label: str
 

@@ -8,18 +8,18 @@ bindings address fields through the same dotted paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 
 from ..errors import BindingError, ConfigError, DomainError
 from ..kvdoc import _TYPES, Field, field_table, read_kv, write_kv
+from ..record import Record
 from ..riskml.model import CATEGORICAL, CONTINUOUS, INTEGER
 
 MODE_SSM = "ssm"
 MODE_MONITORED_STOP = "monitored_stop"
 
 
-@dataclass(frozen=True)
-class BeltConfig:
+class BeltConfig(Record):
     start: tuple[float, float] = (-0.45, 0.80)
     end: tuple[float, float] = (0.51, 0.80)
     speed: float = 0.1            # m/s along start->end
@@ -27,8 +27,7 @@ class BeltConfig:
     object_count: int = 3
 
 
-@dataclass(frozen=True)
-class ArmConfig:
+class ArmConfig(Record):
     base: tuple[float, float] = (0.0, 0.0)
     link1: float = 0.55
     link2: float = 0.45
@@ -38,16 +37,14 @@ class ArmConfig:
     bin: tuple[float, float] = (-0.65, 0.35)
 
 
-@dataclass(frozen=True)
-class OperatorConfig:
+class OperatorConfig(Record):
     start: tuple[float, float] = (0.0, 1.62)  # torso position, fixed
     hand_intrusion: float = 0.40  # m the hand reaches toward the belt
     hand_speed: float = 0.9       # m/s of the hand along its path
     approach_time: float = 0.8    # s before the first reach begins
 
 
-@dataclass(frozen=True)
-class CameraConfig:
+class CameraConfig(Record):
     # Offset from the cell midline so the arm base stays out of the
     # camera-to-operator sight line when the arm is parked.
     position: tuple[float, float] = (0.9, -1.4)
@@ -55,22 +52,19 @@ class CameraConfig:
     fov_half_angle: float = 1.05  # rad
 
 
-@dataclass(frozen=True)
-class EnvironmentConfig:
+class EnvironmentConfig(Record):
     illuminance: float = 5000.0   # lux
     contrast: float = 0.85        # 0..1 operator/background contrast
 
 
-@dataclass(frozen=True)
-class ControllerConfig:
+class ControllerConfig(Record):
     mode: str = MODE_SSM
     reaction_time: float = 0.1        # s, T_r
     assumed_human_speed: float = 1.6  # m/s, v_h in the separation formula
     min_clearance: float = 0.1        # m, C term
 
 
-@dataclass(frozen=True)
-class PerceptionConfig:
+class PerceptionConfig(Record):
     p_base: float = 0.99
     e_min: float = 100.0          # lux floor: no detection at or below
     e_sat: float = 1000.0         # lux where the illuminance gate saturates
@@ -79,8 +73,7 @@ class PerceptionConfig:
     ignore_occlusion: bool = False
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     duration: float = 8.0
     dt: float = 0.02
     belt: BeltConfig = field(default_factory=BeltConfig)

@@ -796,13 +796,17 @@ def test_explain_loads_no_campaign_simulator_or_pool(campaign):
     assert "no rules met" in (campaign / "one" / "rules.txt").read_text()
 
 
-@pytest.mark.parametrize("command", [
+_COMMANDS = pytest.mark.parametrize("command", [
     ("validate", "--model", MODEL),
+    ("cases", "--model", MODEL, "--out", "cases.json"),
     ("run", "--config", "c.config", "--out", "again"),
     ("explain", "camp/archive.csv", "--model", MODEL, "--out", "explained"),
     ("replay", "point.json", "--model", MODEL, "--scenario", SCENARIO,
      "--out", "replayed"),
 ], ids=lambda command: command[0])
+
+
+@_COMMANDS
 def test_every_command_freezes_its_import_heap(campaign, command):
     (campaign / "point.json").write_text(json.dumps(_POINT))
     frozen = _fresh_cli(*command, cwd=campaign, before="import gc",
@@ -810,6 +814,36 @@ def test_every_command_freezes_its_import_heap(campaign, command):
     # Importing click and the package alone makes over ten thousand
     # objects that the collector tracks.
     assert int(frozen) > 10_000
+
+
+# The functions that riskbench's modules and classes hold and that were
+# compiled from source text at run time, as `dataclass()` and
+# `namedtuple()` compile the methods they write.
+_GENERATED = """import sys
+def generated():
+    found = set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "riskbench":
+            continue
+        for value in vars(module).values():
+            owned = (isinstance(value, type)
+                     and value.__module__.split(".")[0] == "riskbench")
+            for fn in vars(value).values() if owned else (value,):
+                fn = getattr(fn, "__func__", fn)
+                code = getattr(fn, "__code__", None)
+                if code is not None and code.co_filename == "<string>":
+                    found.add(f"{value.__module__}.{fn.__qualname__}")
+    return sorted(found)
+"""
+
+
+@_COMMANDS
+def test_no_command_compiles_methods_at_start_up(campaign, command):
+    # Records take their methods from one base class (`riskbench.record`);
+    # a frozen dataclass compiles six per class, about a millisecond.
+    (campaign / "point.json").write_text(json.dumps(_POINT))
+    assert _fresh_cli(*command, cwd=campaign, before=_GENERATED,
+                      report="generated()") == "[]"
 
 
 def test_a_second_command_in_one_process_freezes_nothing_more(tmp_path):

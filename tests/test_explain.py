@@ -90,6 +90,13 @@ def test_an_integer_a_float_cannot_hold_is_refused():
             induce_tree(dataset((big,), rows))
 
 
+def test_an_integer_past_the_float_range_is_refused():
+    rows = [((0.5,), C), ((10 ** 400,), NC)]
+    with pytest.raises(DomainError, match="'f0' holds a value beyond the "
+                                          "float range"):
+        induce_tree(dataset((F0,), rows))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_value_is_refused(value):
     # NaN fails every `<=` test, and a midpoint next to ±inf is ±inf: no

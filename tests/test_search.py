@@ -656,3 +656,23 @@ def test_campaign_evaluator_survives_a_pickle_round_trip(corner_model,
             assignment = {"illuminance": illuminance, "belt_speed": 0.45,
                           "operator_speed": 1.4}
             assert copy(assignment) == evaluator(assignment)
+
+
+def test_campaign_evaluator_runs_in_a_spawned_worker(corner_model,
+                                                     corner_scenario):
+    # Where the platform cannot fork, the pool spawns its workers, and the
+    # evaluator (its model, scenario and situation records) reaches each
+    # one as a pickle, in a process that imported the package afresh.
+    evaluator = campaign_evaluator(corner_model, corner_scenario,
+                                   "low_light_rush", "insufficient_distance")
+    assignments = [{"illuminance": illuminance, "belt_speed": 0.45,
+                    "operator_speed": 1.4} for illuminance in (60.0, 400.0,
+                                                               950.0)]
+    pool = algorithms._OrderedPool(evaluator)
+    try:
+        pool.start_worker(multiprocessing.get_context("spawn"))
+        # The parent evaluates the first; the worker holds the other two.
+        results = list(pool.map(assignments))
+    finally:
+        pool.close()
+    assert results == [evaluator(assignment) for assignment in assignments]
