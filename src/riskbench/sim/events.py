@@ -72,18 +72,10 @@ def verdict_from_robustness(model: RiskModel, situation: Situation,
 def evaluate_events(trace, model: RiskModel, situation: Situation) -> Verdict:
     """Judge every event the situation exposes against one trace.
 
-    Accepts a Trace or bare TraceMetrics; verdict_from_robustness labels
+    Accepts a Trace or its TraceMetrics; verdict_from_robustness labels
     the episode.
     """
-    # Imported here: explaining an archive reads the labels above, not
-    # the simulator.
-    from .engine import Trace, TraceMetrics
-    if isinstance(trace, Trace):
-        metrics = trace.metrics.as_dict()
-    elif isinstance(trace, TraceMetrics):
-        metrics = trace.as_dict()
-    else:
-        metrics = dict(trace)
+    metrics = getattr(trace, "metrics", trace).as_dict()
     return verdict_from_robustness(model, situation, {
         name: condition_robustness(model.event(name).condition, metrics)
         for name in situation.exposes})

@@ -163,24 +163,29 @@ def _field(path: str) -> Field:
         raise BindingError(f"no scenario field at path {path!r}") from None
 
 
-def _replaced(scenario: Scenario, path: str, value) -> Scenario:
-    group, _, name = path.rpartition(".")
-    if group:
-        name, value = group, replace(getattr(scenario, group), **{name: value})
-    return replace(scenario, **{name: value})
+def _replaced(scenario: Scenario, values: dict) -> Scenario:
+    """Copy the scenario with each path set, one `replace` per group."""
+    top, groups = {}, {}
+    for path, value in values.items():
+        group, _, name = path.rpartition(".")
+        (groups.setdefault(group, {}) if group else top)[name] = value
+    for group, changes in groups.items():
+        top[group] = replace(getattr(scenario, group), **changes)
+    return replace(scenario, **top)
 
 
-def scenario_with(scenario: Scenario, path: str, value) -> Scenario:
-    """Return a scenario with the field at `path` replaced by `value`.
-
-    The value is coerced to the field's type; incompatible values raise
-    BindingError.
-    """
+def _coerced(path: str, value):
     kind = _TYPES[_field(path).type]
     coerced = kind.coerce(value)
     if coerced is None:
         raise BindingError(f"{path}: expected {kind.noun}, got {value!r}")
-    return _replaced(scenario, path, coerced)
+    return coerced
+
+
+def scenario_with(scenario: Scenario, path: str, value) -> Scenario:
+    """Return a scenario with the field at `path` replaced by `value`,
+    coerced to the field's type; incompatible values raise BindingError."""
+    return _replaced(scenario, {path: _coerced(path, value)})
 
 
 # The field types that can hold every value of a feature of each kind.
@@ -211,14 +216,14 @@ def bind_assignment(scenario: Scenario, model, assignment: dict) -> Scenario:
     Every assigned feature must exist in the model and the value must lie
     in its declared domain; otherwise UnknownNameError/DomainError.
     """
-    bound = scenario
+    values = {}
     for name, value in assignment.items():
         feature = model.feature(name)  # raises UnknownNameError
         if not feature.contains(value):
             raise DomainError(
                 f"value {value!r} outside domain of feature {name!r}")
-        bound = scenario_with(bound, feature.binding, value)
-    return bound
+        values[feature.binding] = _coerced(feature.binding, value)
+    return _replaced(scenario, values)
 
 
 # -- file format --------------------------------------------------------------
@@ -230,12 +235,13 @@ def load_scenario(text: str, source: str = "<string>") -> Scenario:
     Unknown keys raise ConfigError so typos cannot silently change nothing;
     values outside their field's domain raise DomainError.
     """
-    scenario = Scenario()
+    values = {}
     for key, raw in read_kv(text, source).items():
         f = SCENARIO_FIELDS.get(key)
         if f is None:
             raise ConfigError(f"{source}: no scenario field at path {key!r}")
-        scenario = _replaced(scenario, key, f.parse(raw))
+        values[key] = f.parse(raw)
+    scenario = _replaced(Scenario(), values)
     validate_scenario(scenario)
     return scenario
 

@@ -3,8 +3,10 @@
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -58,6 +60,20 @@ def run_cli(*args, cwd=None, pythonpath=()):
         pytest.fail("the CLI subprocess printed a traceback:\n"
                     + result.stderr, pytrace=False)
     return result
+
+
+@contextmanager
+def no_longer_than(seconds):
+    """Fail the block with an AssertionError once it has run `seconds`."""
+    def hung(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def just_outside(field):

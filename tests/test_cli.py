@@ -758,7 +758,8 @@ def test_validate_and_cases_load_no_simulator_search_or_numpy(
     modules = _fresh_cli(command, "--model", MODEL, cwd=tmp_path)
     assert "riskbench.riskml.parser" in modules.split()
     assert _loaded(modules, "riskbench.search", "riskbench.explain",
-                   "riskbench.sim.engine", "numpy", "multiprocessing") == []
+                   "riskbench.sim.engine", "numpy", "multiprocessing",
+                   "riskbench.evaluation") == []
 
 
 def test_replay_loads_no_search_explanation_or_numpy(tmp_path):
@@ -767,7 +768,7 @@ def test_replay_loads_no_search_explanation_or_numpy(tmp_path):
                          "--scenario", SCENARIO, "--out", "out", cwd=tmp_path)
     assert "riskbench.sim.engine" in modules.split()
     assert _loaded(modules, "riskbench.search", "riskbench.explain",
-                   "numpy") == []
+                   "numpy", "multiprocessing", "riskbench.evaluation") == []
 
 
 def test_run_loads_no_numpy(tmp_path):
@@ -775,6 +776,26 @@ def test_run_loads_no_numpy(tmp_path):
     modules = _fresh_cli("run", "--config", "hc.config", cwd=tmp_path)
     assert "riskbench.rng" in modules.split()
     assert _loaded(modules, "numpy") == []
+
+
+# Wraps os.fork to record the threads of the process at each fork, and
+# gives `run` two usable CPUs, so two evaluators, on any host.
+_FORKS = """import os, threading
+os.sched_getaffinity = lambda pid: {0, 1}
+threads_at_fork = []
+def fork(fork=os.fork):
+    threads_at_fork.append(threading.active_count())
+    return fork()
+os.fork = fork
+"""
+
+
+def test_run_forks_a_process_of_one_thread(tmp_path):
+    # A fork copies only the thread that calls it; had another thread held
+    # a lock then, the worker would wait on it for ever.
+    write_config(tmp_path / "hc.config", algorithm="hill_climb", out="hc")
+    assert _fresh_cli("run", "--config", "hc.config", cwd=tmp_path,
+                      before=_FORKS, report="threads_at_fork") == "[1]"
 
 
 def test_explain_loads_no_campaign_simulator_or_pool(campaign):
@@ -791,7 +812,7 @@ def test_explain_loads_no_campaign_simulator_or_pool(campaign):
         assert _loaded(modules, "riskbench.search.campaign",
                        "riskbench.sim.engine", "riskbench.sim.perception",
                        "riskbench.sim.geometry", "multiprocessing",
-                       "numpy") == []
+                       "numpy", "riskbench.evaluation") == []
     assert "rule #1" in (campaign / "camp" / "rules.txt").read_text()
     assert "no rules met" in (campaign / "one" / "rules.txt").read_text()
 

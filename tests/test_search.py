@@ -6,7 +6,6 @@ import math
 import multiprocessing
 import os
 import pickle
-import signal
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from riskbench import evaluation
 from riskbench.datafiles import data_text
 from riskbench.errors import (ConfigError, DomainError, RiskbenchError,
                               UnknownNameError)
@@ -27,7 +27,7 @@ from riskbench.search import (ALGORITHMS, ARCHIVE_FORMAT, SEARCH_FIELDS,
                               validate_search_config)
 from riskbench.search import algorithms
 
-from conftest import just_outside
+from conftest import just_outside, no_longer_than
 from sequential_local_search import run_sequential
 
 SPACE = FeatureSpace(dims=(
@@ -370,24 +370,24 @@ def test_an_error_past_the_first_violation_is_never_seen():
 
 @pytest.fixture()
 def requested_pools(monkeypatch):
-    """The pool sizes run_search asks for. A stand-in for the pool records
-    each and evaluates in-process, so no worker is started whatever size
-    is requested."""
+    """The evaluator counts run_search asks evaluation_map for. A stand-in
+    for the map records each and evaluates in-process, so no worker is
+    started whatever count is requested."""
     requested = []
 
     @contextmanager
-    def recording_pool(evaluator, workers):
+    def recording_map(evaluator, workers):
         requested.append(workers)
         yield functools.partial(map, evaluator)
-    monkeypatch.setattr(algorithms, "_pool_map", recording_pool)
+    monkeypatch.setattr(evaluation, "evaluation_map", recording_map)
     return requested
 
 
 @pytest.mark.parametrize("algorithm,workers,budget,pool_size", [
-    ("random", 1, 30, None),
-    ("genetic", 1, 30, None),
-    ("hill_climb", 1, 30, None),
-    ("simulated_annealing", 1, 30, None),
+    ("random", 1, 30, 1),
+    ("genetic", 1, 30, 1),
+    ("hill_climb", 1, 30, 1),
+    ("simulated_annealing", 1, 30, 1),
     ("hill_climb", 2, 30, 2),
     ("simulated_annealing", 3, 30, 3),
     ("hill_climb", 3, 2, 2),
@@ -395,19 +395,20 @@ def requested_pools(monkeypatch):
         "hill_climb-2", "simulated_annealing-3", "hill_climb-3-budget-2"])
 def test_the_pool_size_asked_for(requested_pools, algorithm, workers, budget,
                                  pool_size):
-    # No algorithm starts a pool for one evaluator; hill climbing and
-    # annealing draft one proposal per evaluator, up to the budget.
+    # Every algorithm asks for the evaluators it was given (one of them
+    # starts no process); hill climbing and annealing draft one proposal
+    # per evaluator, up to the budget.
     config = SearchConfig(algorithm=algorithm, budget=budget, seed=1)
     archive = run_search(UNIT, sphere, config, workers=workers)
     assert len(archive.points) == budget
-    assert requested_pools == ([] if pool_size is None else [pool_size])
+    assert requested_pools == [pool_size]
 
 
 @pytest.mark.parametrize("config,pool_size", [
     (SearchConfig(algorithm="random", budget=100), algorithms.BATCH_SIZE),
     (SearchConfig(algorithm="random", budget=5), 5),
     (SearchConfig(algorithm="genetic", budget=100, population=6), 6),
-    (SearchConfig(algorithm="random", budget=1), None),
+    (SearchConfig(algorithm="random", budget=1), 1),
     (SearchConfig(algorithm="hill_climb", budget=100), 100),
     (SearchConfig(algorithm="simulated_annealing", budget=5), 5),
 ], ids=["random-batch", "random-budget", "genetic-population", "one-eval",
@@ -416,7 +417,7 @@ def test_the_pool_is_no_larger_than_a_batch(requested_pools, config,
                                             pool_size):
     archive = run_search(UNIT, sphere, config, workers=1000)
     assert len(archive.points) == config.budget
-    assert requested_pools == ([] if pool_size is None else [pool_size])
+    assert requested_pools == [pool_size]
 
 
 # -- speculative drafts ---------------------------------------------------------
@@ -471,7 +472,8 @@ class StrictEvaluator:
 
 
 @pytest.mark.parametrize("algorithm", ["hill_climb", "simulated_annealing"])
-def test_an_error_on_a_dropped_proposal_is_never_seen(algorithm):
+def test_an_error_on_a_dropped_proposal_is_never_seen(monkeypatch,
+                                                      algorithm):
     config = SearchConfig(algorithm=algorithm, budget=80, seed=4)
     expected = run_sequential(UNIT, sphere, config)
     recorded = {tuple(p.assignment.values()) for p in expected.points}
@@ -479,10 +481,15 @@ def test_an_error_on_a_dropped_proposal_is_never_seen(algorithm):
     # accepted move and dropped, so the pool evaluates them too.
     handed = []
 
-    def evaluate_many(assignments):
-        handed.extend(tuple(a.values()) for a in assignments)
-        return map(sphere, assignments)
-    drafted = algorithms._search(UNIT, config, evaluate_many, width=2)
+    @contextmanager
+    def in_process_map(evaluator, workers):
+        def evaluate_many(assignments):
+            handed.extend(tuple(a.values()) for a in assignments)
+            return map(evaluator, assignments)
+        yield evaluate_many
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluation, "evaluation_map", in_process_map)
+        drafted = run_search(UNIT, sphere, config, workers=2)
     assert _fingerprint(drafted) == _fingerprint(expected)
     assert set(handed) - recorded
     strict = StrictEvaluator(recorded)
@@ -540,24 +547,11 @@ class ExitInWorker:
         return sphere(assignment)
 
 
-@contextmanager
-def _no_longer_than(seconds):
-    def hung(signum, frame):
-        raise AssertionError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_a_worker_that_dies_raises_instead_of_hanging(algorithm):
     config = SearchConfig(algorithm=algorithm, budget=60, seed=1)
-    with _no_longer_than(60), pytest.raises(RiskbenchError,
-                                            match="exit code 3"):
+    with no_longer_than(60), pytest.raises(RiskbenchError,
+                                           match="exit code 3"):
         run_search(UNIT, ExitInWorker(), config, workers=2)
     assert multiprocessing.active_children() == []
 
@@ -656,23 +650,3 @@ def test_campaign_evaluator_survives_a_pickle_round_trip(corner_model,
             assignment = {"illuminance": illuminance, "belt_speed": 0.45,
                           "operator_speed": 1.4}
             assert copy(assignment) == evaluator(assignment)
-
-
-def test_campaign_evaluator_runs_in_a_spawned_worker(corner_model,
-                                                     corner_scenario):
-    # Where the platform cannot fork, the pool spawns its workers, and the
-    # evaluator (its model, scenario and situation records) reaches each
-    # one as a pickle, in a process that imported the package afresh.
-    evaluator = campaign_evaluator(corner_model, corner_scenario,
-                                   "low_light_rush", "insufficient_distance")
-    assignments = [{"illuminance": illuminance, "belt_speed": 0.45,
-                    "operator_speed": 1.4} for illuminance in (60.0, 400.0,
-                                                               950.0)]
-    pool = algorithms._OrderedPool(evaluator)
-    try:
-        pool.start_worker(multiprocessing.get_context("spawn"))
-        # The parent evaluates the first; the worker holds the other two.
-        results = list(pool.map(assignments))
-    finally:
-        pool.close()
-    assert results == [evaluator(assignment) for assignment in assignments]

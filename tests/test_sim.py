@@ -279,6 +279,37 @@ def test_bind_assignment_enforces_domains(default_model):
         bind_assignment(Scenario(), default_model, {"illuminance": 10.0})
     with pytest.raises(UnknownNameError):
         bind_assignment(Scenario(), default_model, {"warp": 1.0})
+    # The first bad feature is reported.
+    with pytest.raises(UnknownNameError):
+        bind_assignment(Scenario(), default_model,
+                        {"warp": 1.0, "illuminance": 10.0})
+    with pytest.raises(DomainError):
+        bind_assignment(Scenario(), default_model,
+                        {"illuminance": 10.0, "warp": 1.0})
+
+
+# The default model, and one more feature bound to the field that
+# `illuminance` binds, so that two values can meet at one path.
+_GLARE_MODEL = load_model(data_text("default.riskml").replace(
+    "feature camera_yaw", "feature glare continuous [60, 900] lux "
+    "binds environment.illuminance\nfeature camera_yaw"))
+
+
+@given(data=st.data())
+def test_bind_assignment_sets_one_feature_at_a_time(data):
+    # One copy per touched group gives the scenario that binding each
+    # feature in turn gives, the last value at a path winning.
+    model, scenario = _GLARE_MODEL, _SHIPPED["default"][1]
+    names = data.draw(st.permutations([f.name for f in model.features]))
+    assignment = {}
+    for name in names[:data.draw(st.integers(0, len(names)))]:
+        feature = model.feature(name)
+        assignment[name] = data.draw(st.floats(feature.lo, feature.hi))
+    expected = scenario
+    for name, value in assignment.items():
+        expected = scenario_with(expected, model.feature(name).binding,
+                                 value)
+    assert bind_assignment(scenario, model, assignment) == expected
 
 
 # -- engine ---------------------------------------------------------------
