@@ -6,13 +6,6 @@ resolve relative to the config file, output paths relative to the working
 directory. Every artifact write is atomic and every JSON output has stable
 key order, so identical inputs give byte-identical outputs.
 
-Exit codes follow one rule, which the command group applies to any error
-a command lets escape: a ConfigError (an unusable input or config value)
-exits 2, any other RiskbenchError exits 1. A campaign that performed no
-evaluations exits 3, and success exits 0 (found violations are results,
-not failures). A command converts an error itself only where the code
-depends on context or the message gets a prefix.
-
 Each command first imports what it runs (`_load`), and the first command
 in a process then calls `gc.freeze()`. That moves every object alive at
 that point, the imported modules above all, out of the collector's
@@ -25,6 +18,7 @@ benchmark, does not freeze again, so its own garbage stays collectable.
 
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import math
@@ -32,16 +26,14 @@ import os
 import sys
 from pathlib import Path
 
-import click
-
 from .errors import (ConfigError, DomainError, RiskbenchError,
                      RiskmlSyntaxError, UnknownNameError)
 from .fileio import atomic_write_text, read_text, sha256_text, stable_json
 from .kvdoc import Field, read_kv
 from .lazy import lazy_exports
-from .riskml.model import annotate_likelihoods, validate
+from .riskml.model import NEGATIVE, annotate_likelihoods, validate
 from .riskml.parser import parse_risk_model
-from .sim.scenario import check_bindings, load_scenario
+from .sim.scenario import DEFAULT_SIM_SEED, check_bindings, load_scenario
 
 # What only some commands use. A command binds the names it calls here
 # (`_load`) before it runs, so `validate` never loads the simulator or the
@@ -77,12 +69,11 @@ EXIT_CONFIG = 2
 EXIT_EMPTY = 3
 
 DEFAULT_THRESHOLD = 0.2
-DEFAULT_SIM_SEED = 11
 AUGMENTATION_PER_RULE = 20
 
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -97,7 +88,7 @@ def _load_model_file(path: str):
     problems = validate(model) or check_bindings(model)
     if problems:
         for problem in problems:
-            click.echo(f"{path}: {problem}", err=True)
+            print(f"{path}: {problem}", file=sys.stderr)
         sys.exit(EXIT_INVALID)
     return model, text
 
@@ -125,49 +116,42 @@ def _read_json(path):
         _fail(EXIT_CONFIG, f"{path}: not valid JSON: {exc}")
 
 
-class _Commands(click.Group):
-    """The exit-code rule for every command: an error that escapes one
-    exits 2 if it is a ConfigError and 1 otherwise."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ConfigError as exc:
-            _fail(EXIT_CONFIG, str(exc))
-        except RiskbenchError as exc:
-            _fail(EXIT_INVALID, str(exc))
+# Each subcommand, in the order `--help` lists them: its function and its
+# arguments, each a flag or positional name, help and `add_argument` keywords.
+_COMMANDS = {}
+_HELP = ("--help", "Show this message and exit.", {"action": "help"})
+_MODEL = ("--model", "Risk model file (.riskml).",
+          {"dest": "model_path", "required": True})
 
 
-@click.group(cls=_Commands)
-def main():
-    """Risk-driven assurance workbench for a collaborative robot cell."""
+def _command(name, *arguments):
+    def register(run):
+        _COMMANDS[name] = run, arguments
+        return run
+    return register
 
 
-@main.command("validate")
-@click.option("--model", "model_path", required=True,
-              type=click.Path(), help="Risk model file (.riskml).")
+@_command("validate", _MODEL)
 def cmd_validate(model_path):
     """Parse MODEL and check every model invariant."""
     _load()
     _load_model_file(model_path)
-    click.echo(f"{model_path}: ok")
+    print(f"{model_path}: ok")
 
 
-@main.command("cases")
-@click.option("--model", "model_path", required=True,
-              type=click.Path(), help="Risk model file (.riskml).")
-@click.option("--out", "out_path", default="cases.json", show_default=True,
-              type=click.Path(), help="Output JSON file.")
+@_command("cases", _MODEL,
+          ("--out", "Output JSON file.  [default: %(default)s]",
+           {"dest": "out_path", "default": "cases.json"}))
 def cmd_cases(model_path, out_path):
     """Derive assurance-case skeletons from MODEL."""
     _load("derive_assurance_cases", "cases_to_json")
     model, _ = _load_model_file(model_path)
     cases = derive_assurance_cases(model)
     if not cases:
-        click.echo("warning: no situation exposes a negative event; "
-                   "case list is empty", err=True)
+        print("warning: no situation exposes a negative event; "
+              "case list is empty", file=sys.stderr)
     _write(Path(out_path), stable_json(cases_to_json(cases)))
-    click.echo(f"{len(cases)} assurance case(s) -> {out_path}")
+    print(f"{len(cases)} assurance case(s) -> {out_path}")
 
 
 _THRESHOLD = Field("threshold", float, lo=0.0, hi=1.0)
@@ -187,15 +171,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@main.command("run")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(), help="Campaign config file.")
-@click.option("--out", "out_dir", default=None,
-              type=click.Path(), help="Output directory (overrides config).")
-@click.option("--seed", default=None, type=int,
-              help="Search seed (overrides config).")
-@click.option("--budget", default=None, type=int,
-              help="Evaluation budget (overrides config).")
+@_command("run", ("--config", "Campaign config file.",
+                  {"dest": "config_path", "required": True}),
+          ("--out", "Output directory (overrides config).",
+           {"dest": "out_dir"}),
+          ("--seed", "Search seed (overrides config).", {"type": int}),
+          ("--budget", "Evaluation budget (overrides config).", {"type": int}))
 def cmd_run(config_path, out_dir, seed, budget):
     """Run a falsification campaign and persist its archive."""
     _load("SEARCH_FIELDS", "SearchConfig", "run_campaign",
@@ -286,8 +267,8 @@ def cmd_run(config_path, out_dir, seed, budget):
     _write(out / "campaign.json", stable_json(header))
     _write(out / "summary.txt", "\n".join(summary_lines) + "\n")
     for line in summary_lines:
-        click.echo(line)
-    click.echo(f"archive -> {out / 'archive.csv'}")
+        print(line)
+    print(f"archive -> {out / 'archive.csv'}")
 
 
 def _check_header(header, header_file: Path):
@@ -319,14 +300,43 @@ def _check_header(header, header_file: Path):
     return config, threshold, situation, event, evaluations
 
 
-@main.command("explain")
-@click.argument("archive_path", type=click.Path())
-@click.option("--model", "model_path", required=True,
-              type=click.Path(), help="Risk model the archive came from.")
-@click.option("--threshold", default=None, type=float,
-              help="Rule likelihood threshold (overrides campaign config).")
-@click.option("--out", "out_dir", default=None, type=click.Path(),
-              help="Output directory (default: the archive's directory).")
+def _check_rows(rows, archive_text, model, situation, event_name):
+    """Exit 2 at the first row that contradicts itself. As in every archive
+    that `run` writes (`verdict_from_robustness`), a row names each event
+    it triggered once and only events the situation exposes, triggers the
+    target event exactly when its robustness is negative, and is labeled
+    non-compliant exactly when it triggered a negative event."""
+    negative = {name for name in situation.exposes
+                if model.event(name).polarity == NEGATIVE}
+    for index, _, robustness, label, triggered in rows:
+        cell = ";".join(triggered)
+        unexposed = [n for n in triggered if n not in situation.exposes]
+        if unexposed:
+            problem = (f"triggered event {unexposed[0]!r} is not exposed by "
+                       f"situation {situation.name!r}")
+        elif len(set(triggered)) != len(triggered):
+            problem = f"triggered {cell!r} names an event twice"
+        elif (robustness < 0.0) != (event_name in triggered):
+            problem = (f"robustness {robustness!r} of {event_name!r} "
+                       f"contradicts triggered {cell!r}")
+        elif (label == LABEL_NON_COMPLIANCE) != bool(negative & {*triggered}):
+            problem = f"label {label!r} contradicts triggered {cell!r}"
+        else:
+            continue
+        line = [number for number, text
+                in enumerate(archive_text.splitlines(), start=1)
+                if text][index + 1]
+        _fail(EXIT_CONFIG,
+              f"contradictory archive row at line {line}: {problem}")
+
+
+@_command("explain", ("archive_path", None, {"metavar": "ARCHIVE_PATH"}),
+          ("--model", "Risk model the archive came from.",
+           {"dest": "model_path", "required": True}),
+          ("--threshold", "Rule likelihood threshold (overrides campaign "
+           "config).", {"type": float}),
+          ("--out", "Output directory (default: the archive's directory).",
+           {"dest": "out_dir"}))
 def cmd_explain(archive_path, model_path, threshold, out_dir):
     """Explain ARCHIVE_PATH: tree, rules, counterexamples, likelihoods."""
     _load("ARCHIVE_FORMAT", "SEARCH_FIELDS", "SearchConfig",
@@ -364,6 +374,7 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
     if len(rows) != evaluations:
         _fail(EXIT_CONFIG, f"{header_file}: records {evaluations} "
                            f"evaluations, the archive holds {len(rows)}")
+    _check_rows(rows, archive_text, model, situation, event_name)
     dataset = dataset_from_rows(space, rows)
     tree = induce_tree(dataset)
     rules = extract_rules(tree, threshold)
@@ -376,11 +387,8 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
     fraction, samples = estimate_event_likelihood(dataset)
     annotated = annotate_likelihoods(model, {event_name: (fraction, samples)})
 
-    trigger_counts = {name: 0 for name in situation.exposes}
-    for _, _, _, _, triggered in rows:
-        for name in triggered:
-            if name in trigger_counts:
-                trigger_counts[name] += 1
+    trigger_counts = {name: sum(name in row[4] for row in rows)
+                      for name in situation.exposes}
 
     out = Path(out_dir) if out_dir else archive_file.parent
     best = min(r[2] for r in rows)
@@ -416,22 +424,18 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
     _write(out / "annotated.riskml", serialize_model(annotated))
     _write(out / "report.json", stable_json(report))
 
-    click.echo(f"{len(rules)} rule(s) at threshold {threshold}; "
-               f"event {event_name} likelihood {fraction:.3f} "
-               f"({samples} samples)")
-    click.echo(f"report -> {out / 'report.json'}")
+    print(f"{len(rules)} rule(s) at threshold {threshold}; "
+          f"event {event_name} likelihood {fraction:.3f} "
+          f"({samples} samples)")
+    print(f"report -> {out / 'report.json'}")
 
 
-@main.command("replay")
-@click.argument("assignment_path", type=click.Path())
-@click.option("--model", "model_path", required=True,
-              type=click.Path(), help="Risk model file (.riskml).")
-@click.option("--scenario", "scenario_path", required=True,
-              type=click.Path(), help="Scenario file to bind against.")
-@click.option("--seed", default=DEFAULT_SIM_SEED, show_default=True,
-              type=int, help="Simulator seed.")
-@click.option("--out", "out_dir", default=".", type=click.Path(),
-              help="Output directory.")
+@_command("replay", ("assignment_path", None, {"metavar": "ASSIGNMENT_PATH"}),
+          _MODEL, ("--scenario", "Scenario file to bind against.",
+                   {"dest": "scenario_path", "required": True}),
+          ("--seed", "Simulator seed.  [default: %(default)s]",
+           {"type": int, "default": DEFAULT_SIM_SEED}),
+          ("--out", "Output directory.", {"dest": "out_dir", "default": "."}))
 def cmd_replay(assignment_path, model_path, scenario_path, seed, out_dir):
     """Simulate one feature assignment (JSON object) and judge it."""
     _load("bind_assignment", "simulate", "evaluate_events", "trace_to_csv")
@@ -470,8 +474,35 @@ def cmd_replay(assignment_path, model_path, scenario_path, seed, out_dir):
     _write(out / "verdict.json", stable_json(verdict_doc))
 
     for name, verdict in verdicts.items():
-        click.echo(f"{name}: {verdict.label}")
-    click.echo(f"trace -> {out / 'trace.csv'}")
+        print(f"{name}: {verdict.label}")
+    print(f"trace -> {out / 'trace.csv'}")
+
+
+def main(argv=None, prog_name=None, standalone_mode=True):
+    """Run the command that `argv` (by default the process's arguments)
+    names. A usage error or an escaping ConfigError exits 2, any other
+    RiskbenchError 1; a command exits itself where the code depends on
+    context (an empty campaign's 3) or the message gets a prefix."""
+    # `standalone_mode` changes nothing: perfbench/run.py passes it, as
+    # click's `main` took it, until ROADMAP prerequisite P.
+    def parser(make, *arguments, **keywords):
+        made = make(add_help=False, allow_abbrev=False, **keywords)
+        for flag, text, options in (_HELP, *arguments):
+            made.add_argument(flag, help=text, **options)
+        return made
+
+    top = parser(argparse.ArgumentParser, prog=prog_name, description=(
+        "Risk-driven assurance workbench for a collaborative robot cell."))
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+    for name, (run, arguments) in _COMMANDS.items():
+        parser(commands.add_parser, *arguments, name=name, help=run.__doc__,
+               description=run.__doc__).set_defaults(run=run)
+    args = vars(top.parse_args(argv))
+    try:
+        args.pop("run")(**args)
+    except RiskbenchError as exc:
+        _fail(EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_INVALID,
+              str(exc))
 
 
 if __name__ == "__main__":

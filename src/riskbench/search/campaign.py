@@ -6,7 +6,7 @@ from ..errors import DomainError, UnknownNameError
 from ..riskml.model import RiskModel
 from ..sim.engine import simulate
 from ..sim.events import evaluate_events, verdict_from_robustness
-from ..sim.scenario import Scenario, bind_assignment
+from ..sim.scenario import DEFAULT_SIM_SEED, Scenario, bind_assignment
 from .algorithms import Archive, SearchConfig, run_search
 from .space import make_feature_space
 
@@ -50,7 +50,8 @@ class CampaignEvaluator:
 
 def campaign_evaluator(model: RiskModel, scenario: Scenario,
                        situation_name: str, event_name: str,
-                       sim_seeds: tuple = (11,)) -> CampaignEvaluator:
+                       sim_seeds: tuple = (DEFAULT_SIM_SEED,)
+                       ) -> CampaignEvaluator:
     """Evaluator for run_search over full simulations of one situation."""
     situation = model.situation(situation_name)
     if event_name not in situation.exposes:
@@ -65,7 +66,8 @@ def campaign_evaluator(model: RiskModel, scenario: Scenario,
 
 def run_campaign(model: RiskModel, scenario: Scenario, situation_name: str,
                  event_name: str, config: SearchConfig,
-                 sim_seeds: tuple = (11,), workers: int = 1) -> Archive:
+                 sim_seeds: tuple = (DEFAULT_SIM_SEED,),
+                 workers: int = 1) -> Archive:
     """Search the situation's feature space for violations of one event.
 
     `workers` processes evaluate the proposals, this one among them (see

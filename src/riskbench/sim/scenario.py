@@ -17,6 +17,8 @@ from ..riskml.model import CATEGORICAL, CONTINUOUS, INTEGER
 
 MODE_SSM = "ssm"
 MODE_MONITORED_STOP = "monitored_stop"
+# The simulator seed of `run`, `replay` and a campaign given none.
+DEFAULT_SIM_SEED = 11
 
 
 class BeltConfig(Record):

@@ -1,14 +1,16 @@
 """Command line surface: artifacts, exit codes, and failure modes."""
 
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +27,15 @@ from conftest import _PACKAGE_ROOT, just_outside, run_cli
 
 MODEL = data_path("corner.riskml")
 SCENARIO = data_path("corner_cell.scenario")
+
+
+def run_main(*args):
+    """Run `main` in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            pytest.raises(SystemExit) as raised:
+        main(list(map(str, args)))
+    return raised.value.code, out.getvalue(), err.getvalue()
 
 
 def write_config(path, **overrides):
@@ -146,10 +157,11 @@ def test_validate_rejects_any_binding_mismatch(tmp_path, mismatch):
     bad = tmp_path / "bad.riskml"
     bad.write_text(_corner_with(
         _ILLUMINANCE, f"feature illuminance {kind} {domain} binds {path}"))
-    result = CliRunner().invoke(main, ["validate", "--model", str(bad)])
-    assert result.exit_code == 1, result.output
-    assert "feature 'illuminance': " in result.output
-    assert path in result.output
+    code, out, err = run_main("validate", "--model", bad)
+    output = out + err
+    assert code == 1, output
+    assert "feature 'illuminance': " in output
+    assert path in output
 
 
 def test_validate_rejects_an_integer_bound_a_float_cannot_hold(tmp_path):
@@ -495,10 +507,13 @@ def _strict_json(text):
 def test_explain_reports_no_best_robustness_when_none_is_finite(campaign):
     out = campaign / "camp"
     lines = (out / "archive.csv").read_text().strip().split("\n")
-    column = lines[0].split(",").index("robustness")
+    header = lines[0].split(",")
     for i in range(1, len(lines)):
         cells = lines[i].split(",")
-        cells[column] = "inf"
+        # An infinite robustness triggers nothing, so the row is compliant.
+        for column, cell in (("robustness", "inf"), ("label", "compliance"),
+                             ("triggered", "")):
+            cells[header.index(column)] = cell
         lines[i] = ",".join(cells)
     (out / "archive.csv").write_text("\n".join(lines) + "\n")
     result = run_cli("explain", out / "archive.csv", "--model", MODEL,
@@ -529,13 +544,15 @@ def mode_campaign(tmp_path_factory):
     return root
 
 
-def _explain_with_cell(mode_campaign, tmp_path, column, cell):
-    """Copy the campaign, set one cell of line 4 of its archive, explain."""
+def _explain_with_cells(mode_campaign, tmp_path, edits):
+    """Copy the campaign, set cells of line 4 of its archive (a compliant
+    row: the campaign finds no violation), explain."""
     out = tmp_path / "camp"
     shutil.copytree(mode_campaign / "camp", out)
     lines = (out / "archive.csv").read_text().split("\n")
     cells = lines[3].split(",")
-    cells[lines[0].split(",").index(column)] = cell
+    for column, cell in edits.items():
+        cells[lines[0].split(",").index(column)] = cell
     lines[3] = ",".join(cells)
     (out / "archive.csv").write_text("\n".join(lines))
     result = run_cli("explain", out / "archive.csv",
@@ -555,7 +572,7 @@ def _explain_with_cell(mode_campaign, tmp_path, column, cell):
 ])
 def test_explain_rejects_a_bad_archive_cell(mode_campaign, tmp_path,
                                             column, cell):
-    out, result = _explain_with_cell(mode_campaign, tmp_path, column, cell)
+    out, result = _explain_with_cells(mode_campaign, tmp_path, {column: cell})
     assert result.returncode == 2
     assert "line 4" in result.stderr
     assert not (out / "tree.json").exists()
@@ -576,10 +593,42 @@ def test_explain_rejects_an_archive_missing_its_last_row(mode_campaign,
 
 
 def test_explain_accepts_an_infinite_robustness(mode_campaign, tmp_path):
-    out, result = _explain_with_cell(mode_campaign, tmp_path,
-                                     "robustness", "inf")
+    out, result = _explain_with_cells(mode_campaign, tmp_path,
+                                      {"robustness": "inf"})
     assert result.returncode == 0, result.stderr
     assert (out / "tree.json").exists()
+
+
+_VIOLATION = {"robustness": "-0.5", "label": "non_compliance",
+              "triggered": "insufficient_distance"}
+
+
+@pytest.mark.parametrize("edits, problem", [
+    ({"triggered": "bogus_event"},
+     "triggered event 'bogus_event' is not exposed"),
+    ({**_VIOLATION,
+      "triggered": "insufficient_distance;insufficient_distance"},
+     "names an event twice"),
+    ({**_VIOLATION, "robustness": "0.5"},
+     "robustness 0.5 of 'insufficient_distance' contradicts"),
+    ({"robustness": "-0.5"},
+     "robustness -0.5 of 'insufficient_distance' contradicts"),
+    ({**_VIOLATION, "label": "compliance"},
+     "label 'compliance' contradicts"),
+    ({"label": "non_compliance"}, "label 'non_compliance' contradicts"),
+], ids=["unexposed-event", "event-twice", "triggered-at-positive-robustness",
+        "untriggered-at-negative-robustness", "compliant-violation",
+        "non-compliant-without-violation"])
+def test_explain_rejects_an_archive_row_that_contradicts_itself(
+        mode_campaign, tmp_path, edits, problem):
+    # `run` writes every row from one verdict rule: an exposed event
+    # triggers exactly when its robustness is negative, and the row is
+    # non-compliant exactly when a negative event triggered.
+    out, result = _explain_with_cells(mode_campaign, tmp_path, edits)
+    assert result.returncode == 2
+    assert "contradictory archive row at line 4" in result.stderr
+    assert problem in result.stderr
+    assert not (out / "tree.json").exists()
 
 
 # -- replay -----------------------------------------------------------------------
@@ -700,12 +749,56 @@ def test_an_error_that_escapes_a_command_exits_with_its_code(
         "replay": [tmp_path / "point.json", "--model", MODEL,
                    "--scenario", SCENARIO],
     }[command]
-    result = CliRunner().invoke(
-        main, [command, *map(str, args), "--out", str(tmp_path / "out")])
-    assert isinstance(result.exception, SystemExit)
-    assert result.exit_code == (2 if isinstance(error, ConfigError) else 1)
-    assert result.stderr == f"error: {error}\n"
+    code, _, err = run_main(command, *args, "--out", tmp_path / "out")
+    assert code == (2 if isinstance(error, ConfigError) else 1)
+    assert err == f"error: {error}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, names", [
+    ("validate", {"--model"}),
+    ("cases", {"--model", "--out"}),
+    ("run", {"--config", "--out", "--seed", "--budget"}),
+    ("explain", {"ARCHIVE_PATH", "--model", "--threshold", "--out"}),
+    ("replay", {"ASSIGNMENT_PATH", "--model", "--scenario", "--seed",
+                "--out"}),
+])
+def test_each_command_lists_its_options(command, names):
+    code, out, err = run_main(command, "--help")
+    assert (code, err) == (0, "")
+    # Every option, and each positional argument: a name in capitals that
+    # follows no option.
+    listed = {*re.findall(r"--[a-z]+", out),
+              *re.findall(r"(?<![a-z] )\b[A-Z]+_PATH\b", out)}
+    assert listed == {*names, "--help"}
+    assert not re.search(r"(?<![\w-])-h\b", out)
+
+
+@pytest.mark.parametrize("args", [
+    ("validate", "--mod", MODEL),
+    ("cases", "--model", MODEL, "--ou", "cases.json"),
+    ("run", "--conf", "c.config"),
+    ("replay", "point.json", "--model", MODEL, "--scen", SCENARIO),
+], ids=lambda args: args[0])
+def test_an_abbreviated_option_is_a_usage_error(tmp_path, args):
+    result = run_cli(*args, cwd=tmp_path)
+    assert result.returncode == 2
+    assert "error" in result.stderr.lower()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    (), ("validate",), ("cases", "--model"), ("bogus",),
+    ("validate", "--model", MODEL, "--nope"),
+    ("run", "--config", "c.config", "--seed", "x"),
+    ("explain", "--model", MODEL),
+], ids=["no-command", "missing-option", "missing-value", "unknown-command",
+        "unknown-option", "ill-typed-value", "missing-argument"])
+def test_a_usage_error_exits_2(tmp_path, args):
+    result = run_cli(*args, cwd=tmp_path)
+    assert result.returncode == 2
+    assert "error" in result.stderr.lower()
+    assert result.stdout == ""
 
 
 # -- start-up -----------------------------------------------------------------
@@ -832,9 +925,32 @@ def test_every_command_freezes_its_import_heap(campaign, command):
     (campaign / "point.json").write_text(json.dumps(_POINT))
     frozen = _fresh_cli(*command, cwd=campaign, before="import gc",
                         report="gc.get_freeze_count()")
-    # Importing click and the package alone makes over ten thousand
-    # objects that the collector tracks.
+    # Importing argparse and the modules that `validate` loads makes over
+    # ten thousand objects that the collector tracks.
     assert int(frozen) > 10_000
+
+
+@_COMMANDS
+def test_every_command_writes_the_same_bytes_without_click(
+        campaign, tmp_path_factory, command):
+    (campaign / "point.json").write_text(json.dumps(_POINT))
+    env = {**os.environ, "PYTHONPATH": _PACKAGE_ROOT}
+    runs = []
+    for block in ("", "sys.modules['click'] = None"):
+        cwd = tmp_path_factory.mktemp("copy")
+        shutil.copytree(campaign, cwd, dirs_exist_ok=True)
+        before = {path for path in cwd.rglob("*") if path.is_file()}
+        probe = f"import sys\n{block}\nfrom riskbench.cli import main\nmain()"
+        result = subprocess.run([sys.executable, "-c", probe,
+                                 *map(str, command)], cwd=cwd, env=env,
+                                capture_output=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        written = {str(path.relative_to(cwd)): path.read_bytes()
+                   for path in cwd.rglob("*")
+                   if path.is_file() and path not in before}
+        runs.append((result.stdout, result.stderr, written))
+    assert runs[0][2] or command[0] == "validate"
+    assert runs[1] == runs[0]
 
 
 # The functions that riskbench's modules and classes hold and that were
