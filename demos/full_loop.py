@@ -12,7 +12,7 @@ Run from the repository root:
 """
 
 from riskbench.datafiles import data_text
-from riskbench.explain import (build_dataset, constraint_text,
+from riskbench.explain import (constraint_text, dataset_from_rows,
                                estimate_event_likelihood, extract_rules,
                                generate_counterexamples, induce_tree)
 from riskbench.riskml import (annotate_likelihoods, derive_assurance_cases,
@@ -48,7 +48,7 @@ def main():
     print()
     print("== reduce ==")
     space = make_feature_space(model, SITUATION)
-    dataset = build_dataset(archive, space)
+    dataset = dataset_from_rows(space, archive.points)
     tree = induce_tree(dataset)
     rules = extract_rules(tree, threshold=0.5)
     if not rules:

@@ -15,8 +15,9 @@ Run from the repository root:
 """
 
 from riskbench.datafiles import data_text
-from riskbench.explain import (build_dataset, constraint_text, extract_rules,
-                               generate_counterexamples, induce_tree)
+from riskbench.explain import (constraint_text, dataset_from_rows,
+                               extract_rules, generate_counterexamples,
+                               induce_tree)
 from riskbench.riskml import load_model
 from riskbench.search import SearchConfig, make_feature_space, run_campaign
 from riskbench.sim import load_scenario
@@ -35,7 +36,7 @@ def main():
           f"{len(archive.violations)} dropped at least one part")
 
     space = make_feature_space(model, SITUATION)
-    dataset = build_dataset(archive, space)
+    dataset = dataset_from_rows(space, archive.points)
     tree = induce_tree(dataset)
     rules = extract_rules(tree, threshold=0.5)
     print()

@@ -31,7 +31,7 @@ from .errors import (ConfigError, DomainError, RiskbenchError,
 from .fileio import atomic_write_text, read_text, sha256_text, stable_json
 from .kvdoc import Field, read_kv
 from .lazy import lazy_exports
-from .riskml.model import NEGATIVE, annotate_likelihoods, validate
+from .riskml.model import annotate_likelihoods, validate
 from .riskml.parser import parse_risk_model
 from .sim.scenario import DEFAULT_SIM_SEED, check_bindings, load_scenario
 
@@ -45,9 +45,10 @@ __getattr__, __dir__, _ = lazy_exports(globals(), {
                  "rules_report", "rules_to_json", "tree_to_json"),
     ".riskml": ("cases_to_json", "derive_assurance_cases",
                 "serialize_model"),
-    ".search": ("ARCHIVE_FORMAT", "SEARCH_FIELDS", "SearchConfig",
-                "archive_header", "archive_to_csv", "make_feature_space",
-                "parse_archive_csv", "run_campaign"),
+    ".search": ("DEFAULT_THRESHOLD", "SEARCH_FIELDS", "SearchConfig",
+                "THRESHOLD_FIELD", "archive_header", "archive_to_csv",
+                "make_feature_space", "parse_archive_csv",
+                "read_archive_header", "run_campaign"),
     ".sim": ("LABEL_NON_COMPLIANCE", "bind_assignment", "evaluate_events",
              "simulate", "trace_to_csv"),
 })
@@ -68,7 +69,6 @@ EXIT_INVALID = 1
 EXIT_CONFIG = 2
 EXIT_EMPTY = 3
 
-DEFAULT_THRESHOLD = 0.2
 AUGMENTATION_PER_RULE = 20
 
 
@@ -154,13 +154,8 @@ def cmd_cases(model_path, out_path):
     print(f"{len(cases)} assurance case(s) -> {out_path}")
 
 
-_THRESHOLD = Field("threshold", float, lo=0.0, hi=1.0)
 # The keys of a campaign config besides its typed ones.
 _CONFIG_NAMES = {"model", "scenario", "situation", "event", "out"}
-# The names a campaign.json header carries besides its config, and its
-# row count.
-_HEADER_NAMES = (Field("situation", str), Field("event", str))
-_EVALUATIONS = Field("evaluations", int, lo=1)
 
 
 def _usable_cpus() -> int:
@@ -179,12 +174,13 @@ def _usable_cpus() -> int:
           ("--budget", "Evaluation budget (overrides config).", {"type": int}))
 def cmd_run(config_path, out_dir, seed, budget):
     """Run a falsification campaign and persist its archive."""
-    _load("SEARCH_FIELDS", "SearchConfig", "run_campaign",
-          "make_feature_space", "archive_header", "archive_to_csv")
+    _load("SEARCH_FIELDS", "SearchConfig", "THRESHOLD_FIELD",
+          "DEFAULT_THRESHOLD", "run_campaign", "make_feature_space",
+          "archive_header", "archive_to_csv")
     # The config's typed keys. The search config's own keys are checked
     # when the search starts, after `run` has turned a budget below 1 into
     # exit 3.
-    config_fields = {**SEARCH_FIELDS, "threshold": _THRESHOLD,
+    config_fields = {**SEARCH_FIELDS, "threshold": THRESHOLD_FIELD,
                      "sim_seed": Field("sim_seed", int)}
     raw = read_kv(read_text(config_path), source=config_path)
     config_dir = Path(config_path).resolve().parent
@@ -226,7 +222,7 @@ def cmd_run(config_path, out_dir, seed, budget):
                   for key, f in config_fields.items() if key in raw}
         threshold = values.pop("threshold", DEFAULT_THRESHOLD)
         sim_seed = values.pop("sim_seed", DEFAULT_SIM_SEED)
-        _THRESHOLD.check(threshold)
+        THRESHOLD_FIELD.check(threshold)
     except (ConfigError, DomainError) as exc:
         _fail(EXIT_CONFIG, str(exc))
     for key, flag in (("budget", budget), ("seed", seed)):
@@ -247,8 +243,7 @@ def cmd_run(config_path, out_dir, seed, budget):
     header = archive_header(
         space, config, (sim_seed,), situation_name, event_name,
         sha256_text(model_text), sha256_text(scenario_text),
-        len(archive.points))
-    header["threshold"] = threshold
+        len(archive.points), threshold)
 
     n = len(archive.points)
     n_viol = len(archive.violations)
@@ -271,65 +266,6 @@ def cmd_run(config_path, out_dir, seed, budget):
     print(f"archive -> {out / 'archive.csv'}")
 
 
-def _check_header(header, header_file: Path):
-    """The campaign's search config, threshold, situation, event and
-    evaluation count, each checked as `run` checks it; exit 2 unless the
-    header holds what explain reads."""
-    def bad(problem):
-        _fail(EXIT_CONFIG, f"{header_file}: {problem}")
-
-    if not isinstance(header, dict):
-        bad("expected a JSON object")
-    if header.get("format") != ARCHIVE_FORMAT:
-        bad(f"unrecognized archive format {header.get('format')!r}")
-    doc = header.get("config")
-    if not isinstance(doc, dict):
-        bad("missing the 'config' object")
-    odd = sorted(doc.keys() ^ SEARCH_FIELDS.keys())
-    if odd:
-        bad(f"config keys missing or unknown: {', '.join(odd)}")
-    try:
-        config = SearchConfig(**{key: f.coerce(doc[key])
-                                 for key, f in SEARCH_FIELDS.items()})
-        threshold = _THRESHOLD.coerce(
-            header.get("threshold", DEFAULT_THRESHOLD))
-        situation, event = (f.coerce(header.get(f.path)) for f in _HEADER_NAMES)
-        evaluations = _EVALUATIONS.coerce(header.get("evaluations"))
-    except DomainError as exc:
-        bad(str(exc))
-    return config, threshold, situation, event, evaluations
-
-
-def _check_rows(rows, archive_text, model, situation, event_name):
-    """Exit 2 at the first row that contradicts itself. As in every archive
-    that `run` writes (`verdict_from_robustness`), a row names each event
-    it triggered once and only events the situation exposes, triggers the
-    target event exactly when its robustness is negative, and is labeled
-    non-compliant exactly when it triggered a negative event."""
-    negative = {name for name in situation.exposes
-                if model.event(name).polarity == NEGATIVE}
-    for index, _, robustness, label, triggered in rows:
-        cell = ";".join(triggered)
-        unexposed = [n for n in triggered if n not in situation.exposes]
-        if unexposed:
-            problem = (f"triggered event {unexposed[0]!r} is not exposed by "
-                       f"situation {situation.name!r}")
-        elif len(set(triggered)) != len(triggered):
-            problem = f"triggered {cell!r} names an event twice"
-        elif (robustness < 0.0) != (event_name in triggered):
-            problem = (f"robustness {robustness!r} of {event_name!r} "
-                       f"contradicts triggered {cell!r}")
-        elif (label == LABEL_NON_COMPLIANCE) != bool(negative & {*triggered}):
-            problem = f"label {label!r} contradicts triggered {cell!r}"
-        else:
-            continue
-        line = [number for number, text
-                in enumerate(archive_text.splitlines(), start=1)
-                if text][index + 1]
-        _fail(EXIT_CONFIG,
-              f"contradictory archive row at line {line}: {problem}")
-
-
 @_command("explain", ("archive_path", None, {"metavar": "ARCHIVE_PATH"}),
           ("--model", "Risk model the archive came from.",
            {"dest": "model_path", "required": True}),
@@ -339,43 +275,44 @@ def _check_rows(rows, archive_text, model, situation, event_name):
            {"dest": "out_dir"}))
 def cmd_explain(archive_path, model_path, threshold, out_dir):
     """Explain ARCHIVE_PATH: tree, rules, counterexamples, likelihoods."""
-    _load("ARCHIVE_FORMAT", "SEARCH_FIELDS", "SearchConfig",
-          "make_feature_space", "parse_archive_csv", "dataset_from_rows",
+    _load("THRESHOLD_FIELD", "read_archive_header", "make_feature_space",
+          "parse_archive_csv", "dataset_from_rows",
           "induce_tree", "extract_rules", "generate_counterexamples",
           "estimate_event_likelihood", "LABEL_NON_COMPLIANCE",
           "tree_to_json", "rules_report", "rules_to_json", "serialize_model")
     if threshold is not None:
         try:
-            _THRESHOLD.check(threshold)
+            THRESHOLD_FIELD.check(threshold)
         except DomainError as exc:
             _fail(EXIT_CONFIG, f"--{exc}")
     archive_file = Path(archive_path)
     header_file = archive_file.parent / "campaign.json"
     archive_text = read_text(str(archive_file))
-    header = _read_json(header_file)
-    config, header_threshold, situation_name, event_name, evaluations = \
-        _check_header(header, header_file)
+    header = read_archive_header(_read_json(header_file), header_file)
+    config = header["config"]
+    situation_name, event_name = header["situation"], header["event"]
 
     model, model_text = _load_model_file(model_path)
-    if sha256_text(model_text) != header.get("model_digest"):
+    if sha256_text(model_text) != header["model_digest"]:
         _fail(EXIT_INVALID,
               "model digest mismatch: the archive was produced from a "
               "different model than " + str(model_path))
 
     if threshold is None:
-        threshold = header_threshold
+        threshold = header["threshold"]
 
     situation = model.situation(situation_name)
     if event_name not in situation.exposes:
         raise UnknownNameError(f"event {event_name!r} is not exposed by "
                                f"situation {situation_name!r}")
     space = make_feature_space(model, situation_name)
-    rows = parse_archive_csv(archive_text, space)
-    if len(rows) != evaluations:
-        _fail(EXIT_CONFIG, f"{header_file}: records {evaluations} "
-                           f"evaluations, the archive holds {len(rows)}")
-    _check_rows(rows, archive_text, model, situation, event_name)
-    dataset = dataset_from_rows(space, rows)
+    archive = parse_archive_csv(archive_text, space, model, situation,
+                                event_name)
+    points = archive.points
+    if len(points) != header["evaluations"]:
+        _fail(EXIT_CONFIG, f"{header_file}: records {header['evaluations']} "
+                           f"evaluations, the archive holds {len(points)}")
+    dataset = dataset_from_rows(space, points)
     tree = induce_tree(dataset)
     rules = extract_rules(tree, threshold)
     augmentation = [
@@ -387,22 +324,22 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
     fraction, samples = estimate_event_likelihood(dataset)
     annotated = annotate_likelihoods(model, {event_name: (fraction, samples)})
 
-    trigger_counts = {name: sum(name in row[4] for row in rows)
+    trigger_counts = {name: sum(name in p.triggered for p in points)
                       for name in situation.exposes}
 
     out = Path(out_dir) if out_dir else archive_file.parent
-    best = min(r[2] for r in rows)
+    best = points[archive.best].robustness
     report = {
         "archive": archive_file.name,
         "archive_digest": sha256_text(archive_text),
-        "model_digest": header.get("model_digest"),
-        "scenario_digest": header.get("scenario_digest"),
+        "model_digest": header["model_digest"],
+        "scenario_digest": header["scenario_digest"],
         "situation": situation_name,
         "event": event_name,
         "algorithm": config.algorithm,
         "threshold": threshold,
-        "evaluations": len(rows),
-        "violations": sum(1 for r in rows if r[3] == LABEL_NON_COMPLIANCE),
+        "evaluations": len(points),
+        "violations": sum(p.label == LABEL_NON_COMPLIANCE for p in points),
         "best_robustness": best if math.isfinite(best) else None,
         "event_likelihood": {"fraction": fraction, "samples": samples},
         "event_trigger_counts": trigger_counts,

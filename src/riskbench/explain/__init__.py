@@ -6,7 +6,7 @@ Each public name loads its submodule on first use (see `riskbench.lazy`).
 from ..lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    ".dataset": ("LabeledDataset", "build_dataset", "dataset_from_rows",
+    ".dataset": ("LabeledDataset", "dataset_from_rows",
                  "estimate_event_likelihood"),
     ".rules": ("AugmentationSet", "Constraint", "Rule", "constraint_text",
                "extract_rules", "generate_counterexamples", "rules_report",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from ..errors import DomainError
 from ..record import Record
-from ..search.algorithms import Archive
 from ..search.space import FeatureSpace
 from ..sim.events import LABEL_NON_COMPLIANCE
 
@@ -17,21 +16,14 @@ class LabeledDataset(Record):
         return len(self.rows)
 
 
-def build_dataset(archive: Archive, space: FeatureSpace) -> LabeledDataset:
-    """One row per evaluated point, labeled by its verdict."""
-    # Rows in parse_archive_csv's shape; only assignment and label are read.
-    return dataset_from_rows(space, [
-        (None, point.assignment, None, point.verdict.label, None)
-        for point in archive.points])
-
-
 def dataset_from_rows(space: FeatureSpace, rows) -> LabeledDataset:
-    """Dataset straight from parsed archive CSV rows."""
+    """One dataset row per archive row (`EvaluatedPoint`): its feature
+    values in the space's order, and its label."""
     if not rows:
         raise DomainError("cannot build a dataset from an empty archive")
     packed = tuple(
-        (tuple(assignment[dim.name] for dim in space.dims), label)
-        for (_, assignment, _, label, _) in rows)
+        (tuple(row.assignment[dim.name] for dim in space.dims), row.label)
+        for row in rows)
     return LabeledDataset(columns=space.dims, rows=packed)
 
 

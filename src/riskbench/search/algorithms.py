@@ -77,10 +77,13 @@ def validate_search_config(config: SearchConfig) -> None:
 
 
 class EvaluatedPoint(Record):
+    """One evaluation, one archive CSV row (see search/archive_io.py)."""
+
+    index: int
     assignment: dict
     robustness: float
-    verdict: object
-    index: int
+    label: str
+    triggered: tuple
 
 
 class Archive:
@@ -138,11 +141,10 @@ class _Driver:
         is never recorded, and an error it raised is never seen.
         """
         assignments = [decode(self.space, v) for v in vectors]
-        for assignment, (robustness, verdict) in zip(
+        for assignment, (robustness, label, triggered) in zip(
                 assignments, self.evaluate_many(assignments)):
-            point = EvaluatedPoint(assignment=assignment,
-                                   robustness=float(robustness),
-                                   verdict=verdict, index=self.spent)
+            point = EvaluatedPoint(self.spent, assignment, float(robustness),
+                                   label, triggered)
             self.archive.record(point)
             self.spent += 1
             yield point.robustness
@@ -154,8 +156,9 @@ def run_search(space: FeatureSpace, evaluator, config: SearchConfig,
                workers: int = 1) -> Archive:
     """Minimize robustness over the space within config.budget evaluations.
 
-    The evaluator maps an assignment to (robustness, verdict). Returns the
-    archive of every evaluation in order. `workers` counts the evaluators,
+    The evaluator maps an assignment to the judged cells of its archive
+    row: (robustness, label, triggered events). Returns the archive of
+    every evaluation in order. `workers` counts the evaluators,
     this process among them; with more than one, the others are worker
     processes. Random and genetic search use no more of them than the
     largest batch or the budget, and hill climbing and annealing draft as

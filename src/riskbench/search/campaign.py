@@ -12,8 +12,9 @@ from .space import make_feature_space
 
 
 class CampaignEvaluator:
-    """Maps an assignment to (robustness of one event, verdict) by full
-    simulation.
+    """Maps an assignment to the judged cells of its archive row by full
+    simulation: the robustness of one event, the verdict's label and the
+    events it triggered.
 
     A plain object rather than a closure, so that it pickles and can be
     handed to worker processes. With several simulator seeds, per-event
@@ -45,7 +46,9 @@ class CampaignEvaluator:
             verdict = verdict_from_robustness(model, situation, {
                 name: total / len(sim_seeds)
                 for name, total in totals.items()})
-        return verdict.per_event[self.event_name].robustness, verdict
+        return (verdict.per_event[self.event_name].robustness, verdict.label,
+                tuple(name for name, outcome in verdict.per_event.items()
+                      if outcome.triggered))
 
 
 def campaign_evaluator(model: RiskModel, scenario: Scenario,

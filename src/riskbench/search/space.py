@@ -1,4 +1,4 @@
-"""Feature space over a situation's features, with unit-cube encoding.
+"""Feature space over a situation's features, and its unit-cube decoding.
 
 Every search algorithm works in the normalized hypercube [0,1]^d so one
 mutation scale serves continuous, integer, and categorical dimensions
@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from ..errors import DomainError
 from ..record import Record
-from ..riskml.model import (CATEGORICAL, CONTINUOUS, INTEGER, DomainFeature,
-                            RiskModel)
+from ..riskml.model import CATEGORICAL, INTEGER, DomainFeature, RiskModel
 
 
 class FeatureSpace(Record):
@@ -33,27 +32,6 @@ def make_feature_space(model: RiskModel, situation_name: str) -> FeatureSpace:
         raise DomainError(
             f"situation {situation_name!r} references no features")
     return FeatureSpace(dims=dims)
-
-
-def encode(space: FeatureSpace, assignment: dict) -> list:
-    """Map an in-domain assignment to a point in [0,1]^d."""
-    out = []
-    for dim in space.dims:
-        try:
-            value = assignment[dim.name]
-        except KeyError:
-            raise DomainError(
-                f"assignment missing feature {dim.name!r}") from None
-        if not dim.contains(value):
-            raise DomainError(
-                f"value {value!r} outside the domain of feature {dim.name!r}")
-        if dim.kind == CATEGORICAL:
-            idx = dim.values.index(value)
-            out.append((idx + 0.5) / len(dim.values))
-        else:
-            span = dim.hi - dim.lo
-            out.append((value - dim.lo) / span if span else 0.0)
-    return out
 
 
 def decode(space: FeatureSpace, vector) -> dict:

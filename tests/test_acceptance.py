@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from riskbench.datafiles import data_path, data_text
-from riskbench.explain import (LabeledDataset, best_split, build_dataset,
-                               dataset_from_rows, extract_rules, induce_tree)
+from riskbench.explain import (LabeledDataset, best_split, dataset_from_rows,
+                               extract_rules, induce_tree)
 from riskbench.riskml import (DomainFeature, derive_assurance_cases,
                               load_model, parse_risk_model, serialize_model)
 from riskbench.search import (SearchConfig, archive_to_csv,
@@ -66,7 +66,7 @@ def test_02_low_light_rule_recovery(default_model, default_scenario):
         archive = run_campaign(default_model, default_scenario,
                                "close_collaboration", "insufficient_distance",
                                config, sim_seeds=(SIM_SEED,))
-        tree = induce_tree(build_dataset(archive, space))
+        tree = induce_tree(dataset_from_rows(space, archive.points))
         for rule in extract_rules(tree, 0.5):
             bound = rule.constraint_for("illuminance")
             if bound is not None and 90.0 <= bound.hi <= 200.0 \
@@ -259,17 +259,19 @@ def test_07_run_and_replay_determinism(tmp_path, corner_model,
 
     space = make_feature_space(corner_model, "low_light_rush")
     situation = corner_model.situation("low_light_rush")
-    rows = parse_archive_csv(archives[0].decode(), space)
+    rows = parse_archive_csv(archives[0].decode(), space, corner_model,
+                             situation, "insufficient_distance").points
     assert len(rows) == 200
-    for index, assignment, robustness, label, triggered in rows:
-        bound = bind_assignment(corner_scenario, corner_model, assignment)
+    for row in rows:
+        bound = bind_assignment(corner_scenario, corner_model, row.assignment)
         verdict = evaluate_events(simulate(bound, sim_seed), corner_model,
                                   situation)
         outcome = verdict.outcome("insufficient_distance")
-        assert outcome.robustness == robustness, f"row {index} drifted"
-        assert verdict.label == label
+        assert outcome.robustness == row.robustness, \
+            f"row {row.index} drifted"
+        assert verdict.label == row.label
         assert (("insufficient_distance",) if outcome.triggered
-                else ()) == triggered
+                else ()) == row.triggered
 
     # The replay command agrees with the archive byte-for-byte on the
     # robustness it reprints.
@@ -385,13 +387,16 @@ def test_08_round_trips(corner_model, corner_scenario):
                            "insufficient_distance", config,
                            sim_seeds=(SIM_SEED,))
     space = make_feature_space(corner_model, "low_light_rush")
-    rows = parse_archive_csv(archive_to_csv(archive, space), space)
-    dataset = dataset_from_rows(space, rows)
+    back = parse_archive_csv(archive_to_csv(archive, space), space,
+                             corner_model,
+                             corner_model.situation("low_light_rush"),
+                             "insufficient_distance")
+    dataset = dataset_from_rows(space, back.points)
     assert len(dataset) == len(archive.points) == 60
     labeled_bad = sum(1 for _, label in dataset.rows if label == NC)
     assert labeled_bad == len(archive.violations)
-    # Reading the archive through CSV or in memory gives the same dataset.
-    assert dataset == build_dataset(archive, space)
+    # Reading the archive through CSV or in memory gives the same points.
+    assert back.points == archive.points
 
 
 # 9. One assurance case per (situation, goal) pair connected by at least

@@ -461,6 +461,21 @@ def test_explain_rejects_a_bad_campaign_header(campaign, edit):
     assert not (out / "tree.json").exists()
 
 
+@pytest.mark.parametrize("key", ["model_digest", "scenario_digest"])
+def test_explain_rejects_a_digest_that_is_not_a_string(campaign, key):
+    # report.json copies both digests from the header.
+    out = campaign / "camp"
+    header = json.loads((out / "campaign.json").read_text())
+    header[key] = {"not": ["a", "digest"]}
+    (out / "campaign.json").write_text(json.dumps(header))
+    result = run_cli("explain", out / "archive.csv", "--model", MODEL,
+                     cwd=campaign)
+    assert result.returncode == 2
+    assert f"{out / 'campaign.json'}: {key}: expected a string" \
+        in result.stderr
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("edit", [
     lambda header: header.update(situation="ghost"),
     lambda header: header.update(event="ghost"),

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from riskbench.errors import DomainError, EmptyRegionError
 from riskbench.explain import (DEFAULT_MIN_GAIN, DEFAULT_MIN_LEAF, Constraint,
                                DecisionTree, LabeledDataset, Rule, Split,
-                               TreeNode, best_split, build_dataset,
-                               constraint_text, estimate_event_likelihood,
+                               TreeNode, best_split, constraint_text,
+                               dataset_from_rows, estimate_event_likelihood,
                                extract_rules, generate_counterexamples,
                                induce_tree, predict, rules_report,
                                rules_to_json, tree_to_json)
@@ -563,10 +563,10 @@ def test_negative_sample_count_rejected():
 # -- dataset plumbing -------------------------------------------------------------
 
 
-def test_build_dataset_requires_points():
+def test_dataset_from_rows_requires_rows():
     space = FeatureSpace(dims=(F0,))
     with pytest.raises(DomainError):
-        build_dataset(Archive(), space)
+        dataset_from_rows(space, Archive().points)
 
 
 def test_likelihood_estimate_is_the_label_fraction():

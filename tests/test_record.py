@@ -33,7 +33,7 @@ from riskbench.riskml.parser import _tokenize
 from riskbench.search import (SEARCH_FIELDS, FeatureSpace, SearchConfig,
                               make_feature_space, run_campaign)
 from riskbench.sim import (LABEL_COMPLIANCE, LABEL_NON_COMPLIANCE,
-                           load_scenario, simulate)
+                           evaluate_events, load_scenario, simulate)
 from riskbench.sim.scenario import SCENARIO_FIELDS
 
 # Instances of a class compared with one another, at most.
@@ -67,6 +67,7 @@ def _roots():
     archive = run_campaign(default, scenario, "close_collaboration",
                            "insufficient_distance",
                            SearchConfig(budget=4, seed=3))
+    traces = [simulate(scenario, 11), simulate(corner_scenario, 11)]
     # An explanation over a numeric, a categorical and an integer column.
     mode = DomainFeature("mode", "categorical", values=("ssm", "stop"),
                          binding="controller.mode")
@@ -89,7 +90,9 @@ def _roots():
         "tokens": _tokenize(data_text("corner.riskml"))[:30],
         "scenario": scenario,
         "corner_scenario": corner_scenario,
-        "traces": [simulate(scenario, 11), simulate(corner_scenario, 11)],
+        "traces": traces,
+        "verdict": evaluate_events(traces[0], default,
+                                   default.situation("close_collaboration")),
         "fields": [*SCENARIO_FIELDS.values(), *SEARCH_FIELDS.values()],
         "types": list(_TYPES.values()),
         "configs": [SearchConfig(),

@@ -1,4 +1,4 @@
-"""Search algorithms, unit-cube encoding, archives, and campaigns."""
+"""Search algorithms, unit-cube decoding, archives, and campaigns."""
 
 import functools
 import hashlib
@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -19,13 +20,13 @@ from riskbench.errors import (ConfigError, DomainError, RiskbenchError,
                               UnknownNameError)
 from riskbench.riskml import DomainFeature, load_model
 from riskbench.search import (ALGORITHMS, ARCHIVE_FORMAT, SEARCH_FIELDS,
-                              FeatureSpace, SearchConfig,
-                              archive_header, archive_to_csv,
-                              campaign_evaluator, decode, encode,
-                              make_feature_space, parse_archive_csv,
-                              run_campaign, run_search,
+                              Archive, EvaluatedPoint, FeatureSpace,
+                              SearchConfig, archive_header, archive_to_csv,
+                              campaign_evaluator, decode, make_feature_space,
+                              parse_archive_csv, run_campaign, run_search,
                               validate_search_config)
 from riskbench.search import algorithms
+from riskbench.sim import LABEL_COMPLIANCE, LABEL_NON_COMPLIANCE
 
 from conftest import just_outside, no_longer_than
 from sequential_local_search import run_sequential
@@ -42,10 +43,18 @@ UNIT = FeatureSpace(dims=(
 ))
 
 
+def row_cells(robustness):
+    """An evaluator's result: the robustness of one event "e", and the
+    label and triggered events the verdict rule gives it."""
+    if robustness < 0.0:
+        return robustness, LABEL_NON_COMPLIANCE, ("e",)
+    return robustness, LABEL_COMPLIANCE, ()
+
+
 def sphere(assignment):
     # Smooth basin with its floor below zero near (0.3, 0.7).
     r = (assignment["u"] - 0.3) ** 2 + (assignment["v"] - 0.7) ** 2
-    return r - 0.01, None
+    return row_cells(r - 0.01)
 
 
 def fragile_sphere(assignment):
@@ -56,18 +65,28 @@ def fragile_sphere(assignment):
     return sphere(assignment)
 
 
-# -- encoding --------------------------------------------------------------
+# -- decoding --------------------------------------------------------------
 
 
-@given(st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-       st.integers(min_value=1, max_value=7),
-       st.sampled_from(["a", "b", "c"]))
-def test_encode_decode_round_trip(x, n, c):
-    assignment = {"x": x, "n": n, "c": c}
-    back = decode(SPACE, encode(SPACE, assignment))
-    assert back["x"] == pytest.approx(x, abs=1e-9)
-    assert back["n"] == n
-    assert back["c"] == c
+# SPACE, an integer feature as wide as the floats hold exactly, and a
+# feature of one point.
+DECODE_SPACE = FeatureSpace(dims=(
+    *SPACE.dims,
+    DomainFeature(name="w", kind="integer", lo=-2 ** 53, hi=2 ** 53),
+    DomainFeature(name="p", kind="continuous", lo=2.5, hi=2.5),
+))
+_KIND_TYPES = {"continuous": float, "integer": int, "categorical": str}
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                min_size=len(DECODE_SPACE), max_size=len(DECODE_SPACE)))
+def test_every_unit_vector_decodes_into_the_domain(vector):
+    assignment = decode(DECODE_SPACE, vector)
+    assert tuple(assignment) == DECODE_SPACE.names()
+    for dim in DECODE_SPACE.dims:
+        value = assignment[dim.name]
+        assert type(value) is _KIND_TYPES[dim.kind]
+        assert dim.contains(value)
 
 
 def test_decode_types():
@@ -75,13 +94,6 @@ def test_decode_types():
     assert isinstance(out["x"], float)
     assert isinstance(out["n"], int)
     assert out["c"] == "c"
-
-
-def test_encode_rejects_out_of_domain():
-    with pytest.raises(DomainError):
-        encode(SPACE, {"x": 11.0, "n": 1, "c": "a"})
-    with pytest.raises(DomainError):
-        encode(SPACE, {"x": 1.0, "c": "a"})
 
 
 def test_decode_rejects_bad_vectors():
@@ -160,7 +172,7 @@ def test_random_covers_the_space():
 
 
 def test_best_is_earliest_minimum():
-    constant = lambda assignment: (1.0, None)
+    constant = lambda assignment: row_cells(1.0)
     archive = run_search(UNIT, constant,
                          SearchConfig(algorithm="random", budget=10, seed=0))
     assert archive.best == 0
@@ -177,7 +189,7 @@ def test_violations_are_negative_indices():
 
 
 def test_stop_on_violation():
-    always_bad = lambda assignment: (-1.0, None)
+    always_bad = lambda assignment: row_cells(-1.0)
     config = SearchConfig(algorithm="random", budget=50, seed=0,
                           stop_on_violation=True)
     archive = run_search(UNIT, always_bad, config)
@@ -227,7 +239,7 @@ def mixed_bumps(assignment):
     # and meets violations.
     offset = 0.004 * assignment["n"] + {"a": 0.0, "b": 0.01, "c": 0.02}[
         assignment["c"]]
-    return bumpy_sphere(assignment)[0] + offset - 0.02, None
+    return row_cells(bumpy_sphere(assignment)[0] + offset - 0.02)
 
 
 # Frozen from a seeded sweep: every algorithm, six seeds, a small, a
@@ -265,52 +277,98 @@ def small_campaign(corner_model, corner_scenario):
     return archive, space, config
 
 
-def test_archive_csv_round_trip(small_campaign):
-    archive, space, _ = small_campaign
-    text = archive_to_csv(archive, space)
-    rows = parse_archive_csv(text, space)
-    assert len(rows) == len(archive.points)
-    for point, (index, assignment, robustness, label, triggered) in zip(
-            archive.points, rows):
-        assert index == point.index
-        assert assignment == point.assignment
-        assert robustness == point.robustness
-        assert label == point.verdict.label
-        expect = tuple(name for name in point.verdict.per_event
-                       if point.verdict.per_event[name].triggered)
-        assert triggered == expect
+# Cells at the edges of what the CSV must carry exactly: any finite
+# float, both zeros among them, integers around +-2^53, and a category.
+EDGE_SPACE = FeatureSpace(dims=(
+    DomainFeature(name="x", kind="continuous", lo=-sys.float_info.max,
+                  hi=sys.float_info.max),
+    DomainFeature(name="n", kind="integer", lo=-2 ** 53 - 3, hi=2 ** 53 + 3),
+    DomainFeature(name="c", kind="categorical", values=("a", "b", "c")),
+))
+_EDGE_ROWS = st.lists(st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-2 ** 53 - 3, max_value=2 ** 53 + 3),
+    st.sampled_from(["a", "b", "c"]),
+    st.floats(allow_nan=False),          # the target event's robustness
+    st.booleans()),                      # whether object_drop triggered
+    min_size=1, max_size=8)
+# Per column, a cell that no row may hold; None puts in a wrong index.
+_BAD_CELLS = [("index", None), ("x", "nan"), ("x", "1e999"),
+              ("n", str(2 ** 53 + 4)), ("n", "1.5"), ("c", "d"),
+              ("robustness", "nan")]
+
+
+@given(rows=_EDGE_ROWS, bad=st.sampled_from(_BAD_CELLS),
+       pick=st.integers(0, 7))
+@example(rows=[(-0.0, -2 ** 53 - 3, "a", math.inf, False),
+               (0.0, 2 ** 53 + 3, "c", -0.0, True)],
+         bad=("robustness", "nan"), pick=1)
+def test_the_archive_csv_reads_back_point_for_point(default_model, rows,
+                                                    bad, pick):
+    situation = default_model.situation("close_collaboration")
+    archive = Archive()
+    for index, (x, n, c, robustness, dropped) in enumerate(rows):
+        # Judged as the verdict rule judges the two negative events.
+        triggered = (("insufficient_distance",) * (robustness < 0.0)
+                     + ("object_drop",) * dropped)
+        archive.record(EvaluatedPoint(
+            index, {"x": x, "n": n, "c": c}, robustness,
+            LABEL_NON_COMPLIANCE if triggered else LABEL_COMPLIANCE,
+            triggered))
+    text = archive_to_csv(archive, EDGE_SPACE)
+    back = parse_archive_csv(text, EDGE_SPACE, default_model, situation,
+                             "insufficient_distance")
+    assert back.points == archive.points
+    assert (back.best, back.violations) == (archive.best, archive.violations)
+    assert archive_to_csv(back, EDGE_SPACE) == text
+
+    # One cell of one row spoiled: the parser names the row's line.
+    row = pick % len(rows)
+    lines = text.split("\n")
+    cells = lines[row + 1].split(",")
+    column, cell = bad
+    position = lines[0].split(",").index(column)
+    cells[position] = str(row + 1) if cell is None else cell
+    lines[row + 1] = ",".join(cells)
+    with pytest.raises(ConfigError, match=f"at line {row + 2}:"):
+        parse_archive_csv("\n".join(lines), EDGE_SPACE, default_model,
+                          situation, "insufficient_distance")
 
 
 def test_archive_header_records_the_recipe(small_campaign):
     archive, space, config = small_campaign
     header = archive_header(space, config, (11,), "low_light_rush",
                             "insufficient_distance", "sha-m", "sha-s",
-                            len(archive.points))
+                            len(archive.points), 0.5)
     assert header["format"] == ARCHIVE_FORMAT
     assert header["config"]["algorithm"] == "random"
     assert header["config"]["seed"] == 4
     assert header["sim_seeds"] == [11]
     assert [d["name"] for d in header["space"]] == list(space.names())
     assert header["evaluations"] == 12
+    assert header["threshold"] == 0.5
 
 
 def test_the_header_holds_the_search_config_field_for_field(small_campaign):
     archive, space, config = small_campaign
     header = archive_header(space, config, (11,), "low_light_rush",
                             "insufficient_distance", "sha-m", "sha-s",
-                            len(archive.points))
+                            len(archive.points), 0.5)
     assert list(header["config"]) == list(SEARCH_FIELDS)
     assert SearchConfig(**{key: f.coerce(header["config"][key])
                            for key, f in SEARCH_FIELDS.items()}) == config
 
 
-def test_parse_archive_rejects_foreign_columns(small_campaign):
+def test_parse_archive_rejects_foreign_columns(small_campaign,
+                                               corner_model):
     archive, space, _ = small_campaign
     text = archive_to_csv(archive, space)
     other = FeatureSpace(dims=(
         DomainFeature(name="different", kind="continuous", lo=0.0, hi=1.0),))
     with pytest.raises(Exception):
-        parse_archive_csv(text, other)
+        parse_archive_csv(text, other, corner_model,
+                          corner_model.situation("low_light_rush"),
+                          "insufficient_distance")
 
 
 # -- batches and worker processes ---------------------------------------------
@@ -427,8 +485,8 @@ def bumpy_sphere(assignment):
     # The sphere with ripples, so that hill climbing stalls and restarts
     # and annealing accepts worsening moves.
     u, v = assignment["u"], assignment["v"]
-    return sphere(assignment)[0] + 0.02 * math.sin(23 * u) * math.cos(17 * v), \
-        None
+    return row_cells(sphere(assignment)[0]
+                     + 0.02 * math.sin(23 * u) * math.cos(17 * v))
 
 
 def _outcome(run):
@@ -578,9 +636,11 @@ def test_multi_seed_robustness_is_the_mean(corner_model, corner_scenario):
     both = campaign_evaluator(corner_model, corner_scenario,
                               "low_light_rush", "insufficient_distance",
                               sim_seeds=(3, 9))
-    rob, verdict = both(assignment)
+    rob, label, triggered = both(assignment)
     assert rob == pytest.approx(sum(singles) / 2)
-    assert verdict.outcome("insufficient_distance").robustness == rob
+    # The row is judged from the means.
+    assert triggered == (("insufficient_distance",) if rob < 0.0 else ())
+    assert (label == "non_compliance") == (rob < 0.0)
 
 
 def test_campaign_evaluator_needs_a_seed(corner_model, corner_scenario):

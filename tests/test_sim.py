@@ -601,7 +601,9 @@ def test_multi_seed_label_follows_the_mean(default_model, default_scenario):
     evaluator = campaign_evaluator(default_model, default_scenario,
                                    "close_collaboration",
                                    "insufficient_distance", sim_seeds=(0, 1))
-    robustness, verdict = evaluator(_SPLIT_POINT)
-    assert verdict == verdict_from_robustness(default_model, sit, mean)
-    assert verdict.label == LABEL_COMPLIANCE
+    robustness, label, triggered = evaluator(_SPLIT_POINT)
+    verdict = verdict_from_robustness(default_model, sit, mean)
+    assert label == verdict.label == LABEL_COMPLIANCE
+    assert triggered == tuple(name for name in sit.exposes
+                              if verdict.outcome(name).triggered)
     assert robustness == mean["insufficient_distance"]
