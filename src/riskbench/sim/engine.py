@@ -16,8 +16,12 @@ keyed on exact float equality of every input, and no arithmetic is
 reordered (a hoisted constant such as `belt_speed * dt` is the product
 the step would form, since Python evaluates left to right):
 
-- the hand's field-of-view test, until the hand moves;
+- the hand's field-of-view test and its sight line from the camera
+  (`sight_line`), until the hand moves;
 - the occlusion blockers, only for a draw that could detect the hand;
+  `hand_detected` takes the belt's object list as it is and runs the
+  per-ray tests only for a blocker that no bound settles against the
+  whole fan of sample rays (see `riskbench.sim.perception`);
 - the governor's perceived distance: the last step's hand distance when
   the fix is where that hand was (the same calls on the same arm pose);
   its allowed speed until that distance changes;
@@ -26,7 +30,16 @@ the step would form, since Python evaluates left to right):
 - the hand's distance to the arm, until the hand or the arm moves, and
   the torso's, until the arm moves; the torso's is left out wherever it
   cannot be the smaller (see the separation step);
+- the upper arm's distance from the hand or from the fix, wherever the
+  forearm is nearer than `ARM_BOUND_MARGIN` below the least the upper
+  arm can be: the hand's distance from the base less `l1`, since no
+  upper-arm point is farther from the base than the elbow (that bound
+  is kept until the hand, or the fix, moves);
 - `S_p`, until the robot speed changes.
+
+A bound lets a step leave a result out only where it settles that
+result with a margin far above the error of the distance it stands in
+for, so the trace does not depend on the bound.
 """
 
 from __future__ import annotations
@@ -40,7 +53,7 @@ from ..record import Record
 from .geometry import point_segment_distance, two_link_elbow
 from .perception import (ARM_LINK_RADIUS, OBJECT_RADIUS,
                          detection_probability, hand_detected,
-                         in_field_of_view)
+                         in_field_of_view, sight_line)
 from .scenario import MODE_MONITORED_STOP, MODE_SSM, Scenario, validate_scenario
 
 TRACE_COLUMNS = ("t", "d", "S_p", "v_r", "detected",
@@ -66,10 +79,11 @@ CHASE_LEAD = 0.75
 REACH_SLACK = 0.03
 INNER_SLACK = 0.01
 
-# Metres below the torso's least possible distance from the arm at which
-# the separation still tests the torso: far above the rounding in any
-# cell's coordinates, far below any clearance.
-TORSO_BOUND_MARGIN = 1e-6
+# Metres of slack in a lower bound on a point's distance from the arm
+# (the torso's from the whole arm, a hand's from the upper arm) that lets
+# a step leave that distance out: far above the rounding in any cell's
+# coordinates, far below any clearance.
+ARM_BOUND_MARGIN = 1e-6
 
 # Square metres by which every arm point must be nearer the hand than the
 # torso, in squared distance, before the separation leaves the torso out.
@@ -205,11 +219,10 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     # least this far from the arm, less a margin far above rounding.
     arm_radius = max(arm_span, math.hypot(bin_x - base_x, bin_y - base_y))
     torso_bound = (math.hypot(torso_x - base_x, torso_y - base_y)
-                   - arm_radius - TORSO_BOUND_MARGIN)
+                   - arm_radius - ARM_BOUND_MARGIN)
 
     # Perception constants folded down to one pre-occlusion probability.
-    cam_xy = cam.position
-    cam_x, cam_y = cam_xy
+    cam_x, cam_y = cam.position
     cos_yaw = math.cos(cam.yaw)
     sin_yaw = math.sin(cam.yaw)
     half_angle = cam.fov_half_angle
@@ -241,13 +254,17 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     # The hand moves only along y (hand_x is the torso's x), a stale flag
     # marks a result that an arm move invalidated, and NaN equals nothing,
     # so the first step computes everything.
-    view_hand_y = math.nan      # hand position behind in_view
+    view_hand_y = math.nan      # hand position behind in_view and sight
     in_view = False
+    sight = None
     gov_d_perc = math.nan       # perceived distance behind v_allow
     v_allow = 0.0
-    sep_hand_y = math.nan       # hand position behind d_hand
+    sep_hand_y = math.nan       # hand position behind d_hand, sep_bound
     sep_stale = True            # d_hand
     d_hand = math.inf
+    sep_bound = math.inf        # the hand's least distance from the upper arm
+    fix_hand_y = math.nan       # fix position behind fix_bound
+    fix_bound = math.inf        # the fix's least distance from the upper arm
     torso_stale = True          # d_torso
     d_torso = math.inf
     sp_v_r = math.nan           # robot speed behind s_p
@@ -304,6 +321,8 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
             view_hand_y = hand_y
             in_view = ignore_occ or in_field_of_view(
                 cam_x, cam_y, cos_yaw, sin_yaw, half_angle, hand_x, hand_y)
+            if in_view and not ignore_occ:
+                sight = sight_line(cam_x, cam_y, hand_x, hand_y)
         if in_view:
             fov_steps += 1
             if p_clear > 0.0:
@@ -312,16 +331,11 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
                 # blocks the view.
                 u = rng.random() if p_clear < 1.0 else 0.0
                 if u < p_clear:
-                    links = discs = ()
-                    if not ignore_occ:
-                        links = ((base_x, base_y, elbow_x, elbow_y,
-                                  ARM_LINK_RADIUS),
-                                 (elbow_x, elbow_y, ee_x, ee_y,
-                                  ARM_LINK_RADIUS))
-                        discs = [(ox, oy, OBJECT_RADIUS)
-                                 for _, ox, oy in on_belt]
-                    detected = hand_detected(u, p_clear, cam_xy,
-                                             (hand_x, hand_y), links, discs)
+                    detected = ignore_occ or hand_detected(
+                        u, p_clear, sight,
+                        ((base_x, base_y, elbow_x, elbow_y, ARM_LINK_RADIUS),
+                         (elbow_x, elbow_y, ee_x, ee_y, ARM_LINK_RADIUS)),
+                        on_belt, OBJECT_RADIUS)
             if detected:
                 hand_age = 0
                 last_hand_x = hand_x
@@ -405,6 +419,7 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
         # the hand position of the last step's separation makes the same
         # distance calls on the same arm pose, so that d_hand is d_perc (a
         # tracked fix shares the torso's x with every hand position).
+        # Otherwise the upper arm is left out as in the separation below.
         if tracked:
             if mode_stop:
                 inside = math.hypot(last_hand_x - base_x,
@@ -414,12 +429,20 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
                 if last_hand_y == sep_hand_y:
                     d_perc = d_hand
                 else:
-                    d_perc = min(
-                        point_segment_distance(last_hand_x, last_hand_y,
-                                               base_x, base_y,
-                                               elbow_x, elbow_y),
-                        point_segment_distance(last_hand_x, last_hand_y,
-                                               elbow_x, elbow_y, ee_x, ee_y))
+                    if last_hand_y != fix_hand_y:
+                        fix_hand_y = last_hand_y
+                        fix_bound = (math.hypot(last_hand_x - base_x,
+                                                last_hand_y - base_y)
+                                     - l1 - ARM_BOUND_MARGIN)
+                    d_perc = point_segment_distance(last_hand_x, last_hand_y,
+                                                    elbow_x, elbow_y,
+                                                    ee_x, ee_y)
+                    if d_perc >= fix_bound:
+                        d_perc = min(
+                            point_segment_distance(last_hand_x, last_hand_y,
+                                                   base_x, base_y,
+                                                   elbow_x, elbow_y),
+                            d_perc)
                 if d_perc != gov_d_perc:
                     gov_d_perc = d_perc
                     disc = gov_bb - gov_4a * (gov_k0 - d_perc)
@@ -488,20 +511,28 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
                 chase = None
 
         # True separation between the operator (hand plus torso anchor) and
-        # both arm links. The torso's distance can be left out where it
-        # cannot be the smaller: while the hand is nearer the arm than the
-        # torso may ever be, while the hand is at the torso (the same
-        # calls on the same points), and while the whole arm lies below
-        # the midpoint of the hand and the torso straight above it, by a
-        # squared-distance gap that rounding cannot close.
+        # both arm links. The upper arm's distance is left out while the
+        # forearm is nearer than sep_bound, the least distance from the
+        # hand that an upper-arm point can have. The torso's distance can
+        # be left out where it cannot be the smaller: while the hand is
+        # nearer the arm than the torso may ever be, while the hand is at
+        # the torso (the same calls on the same points), and while the
+        # whole arm lies below the midpoint of the hand and the torso
+        # straight above it, by a squared-distance gap that rounding
+        # cannot close.
         if sep_stale or hand_y != sep_hand_y:
             sep_stale = False
-            sep_hand_y = hand_y
-            d_hand = min(
-                point_segment_distance(hand_x, hand_y, base_x, base_y,
-                                       elbow_x, elbow_y),
-                point_segment_distance(hand_x, hand_y, elbow_x, elbow_y,
-                                       ee_x, ee_y))
+            if hand_y != sep_hand_y:
+                sep_hand_y = hand_y
+                sep_bound = (math.hypot(hand_x - base_x, hand_y - base_y)
+                             - l1 - ARM_BOUND_MARGIN)
+            d_hand = point_segment_distance(hand_x, hand_y, elbow_x, elbow_y,
+                                            ee_x, ee_y)
+            if d_hand >= sep_bound:
+                d_hand = min(
+                    point_segment_distance(hand_x, hand_y, base_x, base_y,
+                                           elbow_x, elbow_y),
+                    d_hand)
         if d_hand < torso_bound or hand_y == torso_y or (
                 (torso_y - hand_y)
                 * (torso_y + hand_y - 2.0 * max(base_y, elbow_y, ee_y))

@@ -3,10 +3,11 @@ per-step reuse, as the reference that the package must reproduce float
 for float.
 
 `simulate`, `hand_detected` and `in_field_of_view` are copied verbatim
-from the kernels that recomputed every per-step quantity on every step;
-they are kept here, outside the package, so that a change to the package
-cannot change the reference with it. The helpers they call and that the
-reuse left alone are imported from the package.
+from the kernels that recomputed every per-step quantity on every step,
+and so are the occlusion screen and ray test that `hand_detected` calls
+and their sample-ray fan; they are kept here, outside the package, so
+that a change to the package cannot change the reference with it. The
+other helpers they call are imported from the package.
 """
 
 import math
@@ -17,13 +18,20 @@ from riskbench.sim.engine import (CHASE_GAIN, CHASE_LEAD, CONTACT_EPSILON,
                                   INNER_SLACK, REACH_SLACK, Trace,
                                   TraceMetrics, _hand_depth,
                                   protective_distance)
-from riskbench.sim.geometry import point_segment_distance, two_link_elbow
-from riskbench.sim.perception import (_N_RAYS, _SAMPLE_OFFSETS,
-                                      ARM_LINK_RADIUS, N_OCCLUSION_RAYS,
-                                      OBJECT_RADIUS, _near_blockers,
-                                      _ray_blocked, detection_probability)
+from riskbench.sim.geometry import (point_segment_distance,
+                                    segment_segment_distance, two_link_elbow)
+from riskbench.sim.perception import (ARM_LINK_RADIUS, HAND_DISC_RADIUS,
+                                      N_OCCLUSION_RAYS, OBJECT_RADIUS,
+                                      detection_probability)
 from riskbench.sim.scenario import (MODE_MONITORED_STOP, MODE_SSM, Scenario,
                                     validate_scenario)
+
+_SAMPLE_OFFSETS = tuple(
+    (HAND_DISC_RADIUS * math.cos(2.0 * math.pi * k / N_OCCLUSION_RAYS),
+     HAND_DISC_RADIUS * math.sin(2.0 * math.pi * k / N_OCCLUSION_RAYS))
+    for k in range(N_OCCLUSION_RAYS)
+)
+_N_RAYS = float(N_OCCLUSION_RAYS)
 
 
 def in_field_of_view(cam_x: float, cam_y: float, yaw: float,
@@ -41,6 +49,34 @@ def in_field_of_view(cam_x: float, cam_y: float, yaw: float,
     elif cos_to_point < -1.0:
         cos_to_point = -1.0
     return math.acos(cos_to_point) <= half_angle
+
+
+def _near_blockers(cam_x: float, cam_y: float, hand_x: float, hand_y: float,
+                   segments, discs) -> list:
+    """Blockers close enough to the camera-to-hand sight line to touch a
+    sample ray, as capsules (ax, ay, bx, by, radius); a disc becomes a
+    zero-length capsule. Most steps have a clear view, and this screen
+    spares them the per-ray tests."""
+    near = []
+    for ax, ay, bx, by, radius in segments:
+        if segment_segment_distance(cam_x, cam_y, hand_x, hand_y, ax, ay,
+                                    bx, by) <= radius + HAND_DISC_RADIUS:
+            near.append((ax, ay, bx, by, radius))
+    for ox, oy, radius in discs:
+        if point_segment_distance(ox, oy, cam_x, cam_y,
+                                  hand_x, hand_y) <= radius + HAND_DISC_RADIUS:
+            near.append((ox, oy, ox, oy, radius))
+    return near
+
+
+def _ray_blocked(cam_x: float, cam_y: float, sx: float, sy: float,
+                 near: list) -> bool:
+    """Whether a screened blocker cuts the ray from the camera to (sx, sy)."""
+    for ax, ay, bx, by, radius in near:
+        if segment_segment_distance(cam_x, cam_y, sx, sy,
+                                    ax, ay, bx, by) <= radius:
+            return True
+    return False
 
 
 def hand_detected(u: float, p_clear: float, cam: tuple, hand: tuple,

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,9 +24,12 @@ from riskbench.sim import (CONTACT_EPSILON, LABEL_COMPLIANCE,
                            protective_distance, scenario_with, simulate,
                            trace_to_csv, validate_scenario,
                            verdict_from_robustness)
-from riskbench.sim.perception import (detection_probability, hand_detected,
-                                      illuminance_gate, in_field_of_view,
-                                      occlusion_fraction)
+from riskbench.sim.geometry import segment_segment_distance
+from riskbench.sim.perception import (BOUND_MARGIN, HAND_DISC_RADIUS,
+                                      N_OCCLUSION_RAYS, detection_probability,
+                                      hand_detected, illuminance_gate,
+                                      in_field_of_view, occlusion_fraction,
+                                      sight_line)
 from riskbench.sim.scenario import _DOMAINS, _TYPES, SCENARIO_FIELDS
 
 import reference_engine
@@ -126,22 +130,168 @@ _NEAR = st.floats(-0.15, 0.15)
 _RADIUS = st.floats(0.005, 0.1)
 
 
+def _tagged(centres):
+    """Disc centres as the engine passes its belt: (index, x, y)."""
+    return [(i, x, y) for i, (x, y) in enumerate(centres)]
+
+
 @settings(max_examples=300)
 # One ray of the fan blocked, and a draw in the top sixteenth of p: that
 # one ray rules detection out.
-@example(0.97, 1.0, (0.0, 0.0), (2.0, 0.0), [], [(1.95, 0.05, 0.002)])
+@example(0.97, 1.0, (0.0, 0.0), (2.0, 0.0), [], [(1.95, 0.05)], 0.002)
 @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0),
        st.tuples(_FAR, _FAR), st.tuples(_NEAR, _NEAR),
        st.lists(st.tuples(_NEAR, _NEAR, _NEAR, _NEAR, _RADIUS),
                 max_size=3),
-       st.lists(st.tuples(_NEAR, _NEAR, _RADIUS), max_size=3))
+       st.lists(st.tuples(_NEAR, _NEAR), max_size=3), _RADIUS)
 def test_the_early_exit_kernel_agrees_with_the_full_count(u, p, cam, hand,
-                                                          segments, discs):
+                                                          segments, centres,
+                                                          disc_radius):
     # A half angle of pi keeps every hand in view.
     occ = occlusion_fraction(*cam, 0.0, math.pi, *hand, segments=segments,
-                             discs=discs)
-    assert hand_detected(u, p, cam, hand, segments, discs) == \
+                             discs=[(x, y, disc_radius) for x, y in centres])
+    assert hand_detected(u, p, sight_line(*cam, *hand), segments,
+                         _tagged(centres), disc_radius) == \
         (u < p * (1.0 - occ))
+
+
+def _unit_normal(x, y):
+    length = math.hypot(x, y)
+    return -y / length, x / length
+
+
+def _edge_blocker(data, cam, hand, radius):
+    """One blocker at the edge of a decision: within 1e-6 m of touching a
+    ray (as a disc, a zero-length capsule, a capsule across the ray, or a
+    capsule along it at an angle of at most 1e-7 rad), possibly behind
+    the camera or past the hand; within two margins of the bound by which
+    a point on the sight line covers the fan or a point beside it misses
+    it; or a wall across the sight line that covers the fan. Returns
+    ("disc", x, y) or ("capsule", ax, ay, bx, by, radius)."""
+    cx, cy = cam
+    hx, hy = hand
+    kind = data.draw(st.sampled_from(
+        ("disc", "point", "across", "along", "cover", "miss", "wall")))
+    side = data.draw(st.sampled_from((-1.0, 1.0)))
+    if kind in ("cover", "miss", "wall"):
+        s = data.draw(st.floats(0.05, 1.0))
+        qx, qy = cx + s * (hx - cx), cy + s * (hy - cy)
+        nx, ny = _unit_normal(hx - cx, hy - cy)
+        margin = data.draw(st.floats(-2.0, 2.0)) * BOUND_MARGIN
+        if kind == "cover":
+            return ("capsule", qx, qy, qx, qy,
+                    s * HAND_DISC_RADIUS + margin)
+        if kind == "miss":
+            # The gap such that the point's distance from the camera
+            # gives the s_far that puts it at the bound, by fixed point.
+            length = math.hypot(hx - cx, hy - cy)
+            gap = radius
+            for _ in range(4):
+                s_far = min(1.0, math.hypot(s * length, gap)
+                            / (length - HAND_DISC_RADIUS))
+                gap = radius + s_far * HAND_DISC_RADIUS + margin
+            px, py = qx + side * gap * nx, qy + side * gap * ny
+            return ("capsule", px, py, px, py, radius)
+        return ("capsule", qx - 0.3 * nx, qy - 0.3 * ny,
+                qx + 0.3 * nx, qy + 0.3 * ny, HAND_DISC_RADIUS)
+    k = data.draw(st.integers(0, N_OCCLUSION_RAYS - 1))
+    angle = 2.0 * math.pi * k / N_OCCLUSION_RAYS
+    sx = hx + HAND_DISC_RADIUS * math.cos(angle)
+    sy = hy + HAND_DISC_RADIUS * math.sin(angle)
+    # Past 1 lies beyond the ray's end at the hand, below 0 behind the
+    # camera.
+    s = data.draw(st.floats(-0.3, 1.3))
+    gap = radius + data.draw(st.floats(-1e-6, 1e-6))
+    nx, ny = _unit_normal(sx - cx, sy - cy)
+    ax = cx + s * (sx - cx) + side * gap * nx
+    ay = cy + s * (sy - cy) + side * gap * ny
+    if kind == "disc":
+        return ("disc", ax, ay)
+    if kind == "point":
+        return ("capsule", ax, ay, ax, ay, radius)
+    length = data.draw(st.floats(-0.3, 0.3))
+    if kind == "across":
+        return ("capsule", ax, ay, ax + side * length * nx,
+                ay + side * length * ny, radius)
+    tilt = data.draw(st.floats(-1e-7, 1e-7))
+    ray_length = math.hypot(sx - cx, sy - cy)
+    ux, uy = (sx - cx) / ray_length, (sy - cy) / ray_length
+    return ("capsule", ax, ay,
+            ax + length * (ux - tilt * uy), ay + length * (uy + tilt * ux),
+            radius)
+
+
+@settings(max_examples=400)
+@given(data=st.data(), cam=st.tuples(_FAR, _FAR),
+       hand=st.tuples(_NEAR, _NEAR), radius=_RADIUS)
+def test_the_fan_bounds_agree_with_the_full_count_at_their_edges(data, cam,
+                                                                 hand,
+                                                                 radius):
+    assume(math.hypot(hand[0] - cam[0], hand[1] - cam[1])
+           > 2.0 * HAND_DISC_RADIUS)
+    blockers = [_edge_blocker(data, cam, hand, radius)
+                for _ in range(data.draw(st.integers(1, 3)))]
+    segments = [b[1:] for b in blockers if b[0] == "capsule"]
+    centres = [b[1:] for b in blockers if b[0] == "disc"]
+    occ = occlusion_fraction(*cam, 0.0, math.pi, *hand, segments=segments,
+                             discs=[(x, y, radius) for x, y in centres])
+    sight = sight_line(*cam, *hand)
+    # With p 1, a draw just under each threshold 1 - m/16 tells whether
+    # m rays are blocked.
+    for m in range(N_OCCLUSION_RAYS + 1):
+        u = max(0.0, 1.0 - (m + 0.5) / N_OCCLUSION_RAYS)
+        assert hand_detected(u, 1.0, sight, segments, _tagged(centres),
+                             radius) == (u < 1.0 - occ)
+
+
+def _exact_segment_distance(a, b, c, d):
+    """Distance between segments AB and CD, exact up to its final square
+    root: rational arithmetic on the float inputs."""
+    a, b, c, d = (tuple(map(Fraction, p)) for p in (a, b, c, d))
+
+    def cross(o, p, q):
+        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+    def point_squared(p, q0, q1):
+        vx, vy = q1[0] - q0[0], q1[1] - q0[1]
+        wx, wy = p[0] - q0[0], p[1] - q0[1]
+        den = vx * vx + vy * vy
+        t = min(max((wx * vx + wy * vy) / den, 0), 1) if den else 0
+        return (wx - t * vx) ** 2 + (wy - t * vy) ** 2
+
+    if cross(c, d, a) * cross(c, d, b) < 0 and \
+            cross(a, b, c) * cross(a, b, d) < 0:
+        return 0.0
+    return math.sqrt(min(point_squared(a, c, d), point_squared(b, c, d),
+                         point_squared(c, a, b), point_squared(d, a, b)))
+
+
+_BOX = st.floats(-100.0, 100.0)
+
+
+# On segments a few metres long, nearly parallel, the distance is off by
+# more than 1e-9 m; this one by 3.5e-8 m.
+@example((1.8631802832252804, -0.40349390861416534, -0.7118717708766398,
+          -1.4562437702886561), 0.14254288188788816, -0.09196986485700534,
+         2.235053088954673, -7.799670710585274, 1.0, False)
+@settings(max_examples=200)
+@given(st.tuples(_BOX, _BOX, _BOX, _BOX), st.floats(-0.2, 1.2),
+       st.floats(-0.2, 0.2), st.floats(0.0, 280.0), st.floats(-10.0, -6.0),
+       st.sampled_from((-1.0, 1.0)), st.booleans())
+def test_the_bound_margin_covers_nearly_parallel_distance_error(
+        ab, along, offset, length, log_tilt, sign, reverse):
+    # The second segment starts beside the first and runs at an angle of
+    # 10**log_tilt to it, in a cell whose points lie within 100 m of zero.
+    ax, ay, bx, by = ab
+    heading = math.atan2(by - ay, bx - ax)
+    cx = ax + along * (bx - ax) - offset * math.sin(heading)
+    cy = ay + along * (by - ay) + offset * math.cos(heading)
+    turn = heading + sign * 10.0 ** log_tilt + (math.pi if reverse else 0.0)
+    dx, dy = cx + length * math.cos(turn), cy + length * math.sin(turn)
+    error = abs(segment_segment_distance(ax, ay, bx, by, cx, cy, dx, dy)
+                - _exact_segment_distance((ax, ay), (bx, by), (cx, cy),
+                                          (dx, dy)))
+    assert error < BOUND_MARGIN / 10.0
 
 
 # -- scenario files and bindings ------------------------------------------
@@ -479,6 +629,22 @@ def test_simulate_matches_the_reference_kernel(cell, data, mode, ignore,
                      mode, ignore, lighting, geometry)
     trace = simulate(bound, seed)
     expected = reference_engine.simulate(bound, seed)
+    assert trace.steps == expected.steps
+    assert trace.metrics == expected.metrics
+
+
+# The resting hand sits on the camera, so its sight line has length 0
+# and the occlusion test takes the exact screen and ray tests alone. Kept
+# out of _GEOMETRIES, whose sweep digest is frozen below.
+@pytest.mark.parametrize("cell", sorted(_SHIPPED))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_a_camera_at_the_resting_hand_matches_the_reference_kernel(cell,
+                                                                   seed):
+    _, scenario = _SHIPPED[cell]
+    scenario = scenario_with(scenario, "camera.position",
+                             scenario.operator.start)
+    trace = simulate(scenario, seed)
+    expected = reference_engine.simulate(scenario, seed)
     assert trace.steps == expected.steps
     assert trace.metrics == expected.metrics
 
