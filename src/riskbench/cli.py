@@ -26,14 +26,14 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import (ConfigError, DomainError, RiskbenchError,
-                     RiskmlSyntaxError, UnknownNameError)
+from .errors import ConfigError, DomainError, RiskbenchError, RiskmlSyntaxError
 from .fileio import atomic_write_text, read_text, sha256_text, stable_json
-from .kvdoc import Field, read_kv
+from .kvdoc import read_kv
 from .lazy import lazy_exports
 from .riskml.model import annotate_likelihoods, validate
 from .riskml.parser import parse_risk_model
-from .sim.scenario import DEFAULT_SIM_SEED, check_bindings, load_scenario
+from .sim.scenario import (DEFAULT_SIM_SEED, SIM_SEED_FIELD, check_bindings,
+                           load_scenario)
 
 # What only some commands use. A command binds the names it calls here
 # (`_load`) before it runs, so `validate` never loads the simulator or the
@@ -181,7 +181,7 @@ def cmd_run(config_path, out_dir, seed, budget):
     # when the search starts, after `run` has turned a budget below 1 into
     # exit 3.
     config_fields = {**SEARCH_FIELDS, "threshold": THRESHOLD_FIELD,
-                     "sim_seed": Field("sim_seed", int)}
+                     "sim_seed": SIM_SEED_FIELD}
     raw = read_kv(read_text(config_path), source=config_path)
     config_dir = Path(config_path).resolve().parent
     unknown = set(raw) - set(config_fields) - _CONFIG_NAMES
@@ -223,6 +223,7 @@ def cmd_run(config_path, out_dir, seed, budget):
         threshold = values.pop("threshold", DEFAULT_THRESHOLD)
         sim_seed = values.pop("sim_seed", DEFAULT_SIM_SEED)
         THRESHOLD_FIELD.check(threshold)
+        SIM_SEED_FIELD.check(sim_seed)
     except (ConfigError, DomainError) as exc:
         _fail(EXIT_CONFIG, str(exc))
     for key, flag in (("budget", budget), ("seed", seed)):
@@ -236,23 +237,19 @@ def cmd_run(config_path, out_dir, seed, budget):
     archive = run_campaign(model, scenario, situation_name, event_name,
                            config, sim_seeds=(sim_seed,),
                            workers=_usable_cpus())
-    if not archive.points:
-        _fail(EXIT_EMPTY, "campaign performed no evaluations")
 
+    n = len(archive.points)
     space = make_feature_space(model, situation_name)
     header = archive_header(
         space, config, (sim_seed,), situation_name, event_name,
-        sha256_text(model_text), sha256_text(scenario_text),
-        len(archive.points), threshold)
+        sha256_text(model_text), sha256_text(scenario_text), n, threshold)
 
-    n = len(archive.points)
-    n_viol = len(archive.violations)
     best = archive.points[archive.best]
     first = archive.violations[0] + 1 if archive.violations else None
     summary_lines = [
         f"situation {situation_name}, event {event_name}, "
         f"algorithm {config.algorithm}",
-        f"evaluations {n}, violations {n_viol}"
+        f"evaluations {n}, violations {len(archive.violations)}"
         + (f", first at evaluation {first}" if first else ""),
         f"best robustness {best.robustness!r} at index {best.index}",
     ]
@@ -302,9 +299,7 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
         threshold = header["threshold"]
 
     situation = model.situation(situation_name)
-    if event_name not in situation.exposes:
-        raise UnknownNameError(f"event {event_name!r} is not exposed by "
-                               f"situation {situation_name!r}")
+    situation.check_exposed(event_name)
     space = make_feature_space(model, situation_name)
     archive = parse_archive_csv(archive_text, space, model, situation,
                                 event_name)
@@ -376,6 +371,10 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
 def cmd_replay(assignment_path, model_path, scenario_path, seed, out_dir):
     """Simulate one feature assignment (JSON object) and judge it."""
     _load("bind_assignment", "simulate", "evaluate_events", "trace_to_csv")
+    try:
+        SIM_SEED_FIELD.check(seed)
+    except DomainError as exc:
+        _fail(EXIT_CONFIG, f"--seed: {exc}")
     model, _ = _load_model_file(model_path)
     scenario, _ = _load_scenario_file(scenario_path)
     assignment = _read_json(assignment_path)

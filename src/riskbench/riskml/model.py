@@ -116,6 +116,13 @@ class Situation(Record):
         object.__setattr__(self, "features", tuple(self.features))
         object.__setattr__(self, "indicators", tuple(self.indicators))
 
+    def check_exposed(self, *events: str) -> None:
+        """UnknownNameError unless this situation exposes every event."""
+        for name in events:
+            if name not in self.exposes:
+                raise UnknownNameError(f"event {name!r} is not exposed by "
+                                       f"situation {self.name!r}")
+
 
 class Diagnostic(Record):
     """One violated validation rule, anchored to a named element."""

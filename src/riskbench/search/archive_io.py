@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict
 
-from ..errors import ArchiveMismatchError, ConfigError, DomainError
+from ..errors import (ArchiveMismatchError, ConfigError, DomainError,
+                      UnknownNameError)
 from ..kvdoc import Field
 from ..riskml.model import CATEGORICAL, INTEGER, NEGATIVE
 from ..sim.events import LABEL_COMPLIANCE, LABEL_NON_COMPLIANCE
@@ -169,10 +170,10 @@ def _contradiction(point: EvaluatedPoint, situation, event: str,
     """What makes the row contradict itself, or None."""
     triggered = point.triggered
     cell = ";".join(triggered)
-    unexposed = [n for n in triggered if n not in situation.exposes]
-    if unexposed:
-        return (f"triggered event {unexposed[0]!r} is not exposed by "
-                f"situation {situation.name!r}")
+    try:
+        situation.check_exposed(*triggered)
+    except UnknownNameError as exc:
+        return f"triggered {exc}"
     if len(set(triggered)) != len(triggered):
         return f"triggered {cell!r} names an event twice"
     if (point.robustness < 0.0) != (event in triggered):

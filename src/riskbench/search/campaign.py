@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from ..errors import DomainError, UnknownNameError
+from functools import reduce
+from operator import add
+
+from ..errors import DomainError
 from ..riskml.model import RiskModel
 from ..sim.engine import simulate
 from ..sim.events import evaluate_events, verdict_from_robustness
-from ..sim.scenario import DEFAULT_SIM_SEED, Scenario, bind_assignment
+from ..sim.scenario import (DEFAULT_SIM_SEED, SIM_SEED_FIELD, Scenario,
+                            bind_assignment)
 from .algorithms import Archive, SearchConfig, run_search
 from .space import make_feature_space
 
@@ -14,12 +18,11 @@ from .space import make_feature_space
 class CampaignEvaluator:
     """Maps an assignment to the judged cells of its archive row by full
     simulation: the robustness of one event, the verdict's label and the
-    events it triggered.
-
-    A plain object rather than a closure, so that it pickles and can be
-    handed to worker processes. With several simulator seeds, per-event
-    robustness is averaged across the replicates and the verdict is
-    re-derived from the means.
+    events it triggered. Each event's robustness is its mean over the
+    replicates of the simulator seeds, and the verdict is derived from the
+    means; the mean of one replicate is that replicate, bit for bit. A
+    plain object rather than a closure, so that it pickles for worker
+    processes.
     """
 
     def __init__(self, model: RiskModel, scenario: Scenario, situation,
@@ -32,20 +35,13 @@ class CampaignEvaluator:
 
     def __call__(self, assignment: dict):
         model, situation = self.model, self.situation
-        sim_seeds = self.sim_seeds
         bound = bind_assignment(self.scenario, model, assignment)
-        if len(sim_seeds) == 1:
-            verdict = evaluate_events(simulate(bound, sim_seeds[0]),
-                                      model, situation)
-        else:
-            totals = {name: 0.0 for name in situation.exposes}
-            for seed in sim_seeds:
-                one = evaluate_events(simulate(bound, seed), model, situation)
-                for name, outcome in one.per_event.items():
-                    totals[name] += outcome.robustness
-            verdict = verdict_from_robustness(model, situation, {
-                name: total / len(sim_seeds)
-                for name, total in totals.items()})
+        replicates = [evaluate_events(simulate(bound, seed), model,
+                                      situation).per_event
+                      for seed in self.sim_seeds]
+        verdict = verdict_from_robustness(model, situation, {
+            name: reduce(add, [one[name].robustness for one in replicates])
+            / len(replicates) for name in situation.exposes})
         return (verdict.per_event[self.event_name].robustness, verdict.label,
                 tuple(name for name, outcome in verdict.per_event.items()
                       if outcome.triggered))
@@ -57,12 +53,11 @@ def campaign_evaluator(model: RiskModel, scenario: Scenario,
                        ) -> CampaignEvaluator:
     """Evaluator for run_search over full simulations of one situation."""
     situation = model.situation(situation_name)
-    if event_name not in situation.exposes:
-        raise UnknownNameError(
-            f"event {event_name!r} is not exposed by situation "
-            f"{situation_name!r}")
+    situation.check_exposed(event_name)
     if not sim_seeds:
         raise DomainError("at least one simulator seed is required")
+    for seed in sim_seeds:
+        SIM_SEED_FIELD.check(seed)
     return CampaignEvaluator(model, scenario, situation, event_name,
                              tuple(sim_seeds))
 

@@ -54,7 +54,7 @@ from .geometry import point_segment_distance, two_link_elbow
 from .perception import (ARM_LINK_RADIUS, OBJECT_RADIUS,
                          detection_probability, hand_detected,
                          in_field_of_view, sight_line)
-from .scenario import MODE_MONITORED_STOP, MODE_SSM, Scenario, validate_scenario
+from .scenario import MODE_MONITORED_STOP, Scenario, validate_scenario
 
 TRACE_COLUMNS = ("t", "d", "S_p", "v_r", "detected",
                  "ee_x", "ee_y", "hand_x", "hand_y")
@@ -79,10 +79,10 @@ CHASE_LEAD = 0.75
 REACH_SLACK = 0.03
 INNER_SLACK = 0.01
 
-# Metres of slack in a lower bound on a point's distance from the arm
-# (the torso's from the whole arm, a hand's from the upper arm) that lets
-# a step leave that distance out: far above the rounding in any cell's
-# coordinates, far below any clearance.
+# Metres of slack in a lower bound on a point's distance from the upper
+# arm (the hand's, or the fix's) that lets a step leave that distance
+# out: far above the rounding in any cell's coordinates, far below any
+# clearance.
 ARM_BOUND_MARGIN = 1e-6
 
 # Square metres by which every arm point must be nearer the hand than the
@@ -169,8 +169,6 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     belt_sx, belt_sy = belt.start
     belt_ex, belt_ey = belt.end
     belt_len = math.hypot(belt_ex - belt_sx, belt_ey - belt_sy)
-    if belt_len <= 0.0:
-        raise DomainError("belt has zero length")
     belt_ux = (belt_ex - belt_sx) / belt_len
     belt_uy = (belt_ey - belt_sy) / belt_len
     belt_speed = belt.speed
@@ -196,8 +194,6 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     v_h = ctrl.assumed_human_speed
     clearance = ctrl.min_clearance
     mode_stop = ctrl.mode == MODE_MONITORED_STOP
-    if not mode_stop and ctrl.mode != MODE_SSM:
-        raise DomainError(f"unknown controller mode {ctrl.mode!r}")
     inv_2a = 1.0 / (2.0 * a_brake)
     sp_static = v_h * t_r + clearance
     # Quadratic coefficients of the speed governor: largest v with
@@ -212,14 +208,6 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     reach_depth = op.hand_intrusion
     hand_speed = op.hand_speed
     approach = op.approach_time
-
-    # Every arm point stays within arm_radius of the base: the elbow sits
-    # a link away, and the effector starts at the bin and then only moves
-    # toward targets clamped into the reach annulus. So the torso is at
-    # least this far from the arm, less a margin far above rounding.
-    arm_radius = max(arm_span, math.hypot(bin_x - base_x, bin_y - base_y))
-    torso_bound = (math.hypot(torso_x - base_x, torso_y - base_y)
-                   - arm_radius - ARM_BOUND_MARGIN)
 
     # Perception constants folded down to one pre-occlusion probability.
     cam_x, cam_y = cam.position
@@ -513,13 +501,11 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
         # True separation between the operator (hand plus torso anchor) and
         # both arm links. The upper arm's distance is left out while the
         # forearm is nearer than sep_bound, the least distance from the
-        # hand that an upper-arm point can have. The torso's distance can
-        # be left out where it cannot be the smaller: while the hand is
-        # nearer the arm than the torso may ever be, while the hand is at
-        # the torso (the same calls on the same points), and while the
-        # whole arm lies below the midpoint of the hand and the torso
-        # straight above it, by a squared-distance gap that rounding
-        # cannot close.
+        # hand that an upper-arm point can have. The torso's distance is
+        # left out where it cannot be the smaller: while the hand is at the
+        # torso (the same calls on the same points), and while the whole
+        # arm lies below the midpoint of the hand and the torso straight
+        # above it, by a squared-distance gap that rounding cannot close.
         if sep_stale or hand_y != sep_hand_y:
             sep_stale = False
             if hand_y != sep_hand_y:
@@ -533,7 +519,7 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
                     point_segment_distance(hand_x, hand_y, base_x, base_y,
                                            elbow_x, elbow_y),
                     d_hand)
-        if d_hand < torso_bound or hand_y == torso_y or (
+        if hand_y == torso_y or (
                 (torso_y - hand_y)
                 * (torso_y + hand_y - 2.0 * max(base_y, elbow_y, ee_y))
                 >= TORSO_GAP):

@@ -17,8 +17,10 @@ from ..riskml.model import CATEGORICAL, CONTINUOUS, INTEGER
 
 MODE_SSM = "ssm"
 MODE_MONITORED_STOP = "monitored_stop"
-# The simulator seed of `run`, `replay` and a campaign given none.
+# The simulator seed of `run`, `replay` and a campaign given none. No seed
+# is negative: random.Random(-s) seeds exactly as random.Random(s) does.
 DEFAULT_SIM_SEED = 11
+SIM_SEED_FIELD = Field("sim_seed", int, lo=0)
 
 
 class BeltConfig(Record):

@@ -317,13 +317,39 @@ _ANNEALING = {"algorithm": "simulated_annealing", "budget": 20}
     ({**_ANNEALING, "t0": "inf"}, [], "t0 must be finite"),
     ({**_ANNEALING, "t0": "nan"}, [], "t0 must be finite"),
     ({"threshold": "1.5"}, [], "threshold outside [0, 1]"),
+    ({"sim_seed": -11}, [], "sim_seed outside [0, inf): -11"),
 ], ids=["seed-negative", "threshold-nan", "threshold-inf", "sigma-inf",
-        "sigma-nan", "t0-inf", "t0-nan", "threshold-above-one"])
+        "sigma-nan", "t0-inf", "t0-nan", "threshold-above-one",
+        "sim-seed-negative"])
 def test_run_rejects_a_bad_config_value(tmp_path, settings, flags, message):
     write_config(tmp_path / "c.config", **settings)
     result = run_cli("run", "--config", "c.config", *flags, cwd=tmp_path)
     assert result.returncode == 2
     assert message in result.stderr
+    assert not (tmp_path / "camp").exists()
+
+
+def _corner_with_an_unexposed_event(tmp_path):
+    """The corner model plus an event its one situation does not expose."""
+    path = tmp_path / "corner-drop.riskml"
+    path.write_text(MODEL.read_text() + "event object_drop negative when "
+                    "objects_fallen > 0 impacts -safe_collaboration\n")
+    return path
+
+
+def test_run_refuses_an_unexposed_event_before_any_evaluation(
+        tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("riskbench.search.campaign.simulate",
+                        lambda *args: calls.append(args))
+    write_config(tmp_path / "c.config", event="object_drop",
+                 model=_corner_with_an_unexposed_event(tmp_path),
+                 out=tmp_path / "camp")
+    code, _, err = run_main("run", "--config", tmp_path / "c.config")
+    assert code == 1
+    assert "event 'object_drop' is not exposed by situation " \
+        "'low_light_rush'" in err
+    assert calls == []
     assert not (tmp_path / "camp").exists()
 
 
@@ -491,6 +517,23 @@ def test_explain_rejects_a_header_name_the_model_lacks(campaign, edit):
     assert "'ghost'" in result.stderr
     assert "Traceback" not in result.stderr
     assert not (out / "tree.json").exists()
+
+
+def test_explain_refuses_an_event_its_situation_does_not_expose(tmp_path):
+    model = _corner_with_an_unexposed_event(tmp_path)
+    write_config(tmp_path / "c.config", model=model)
+    assert run_cli("run", "--config", "c.config",
+                   cwd=tmp_path).returncode == 0
+    header_file = tmp_path / "camp" / "campaign.json"
+    header = json.loads(header_file.read_text())
+    header["event"] = "object_drop"
+    header_file.write_text(json.dumps(header))
+    result = run_cli("explain", tmp_path / "camp" / "archive.csv", "--model",
+                     model, "--out", "explained", cwd=tmp_path)
+    assert result.returncode == 1
+    assert "event 'object_drop' is not exposed by situation " \
+        "'low_light_rush'" in result.stderr
+    assert not (tmp_path / "explained").exists()
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf"])
@@ -682,6 +725,18 @@ def test_replay_rejects_out_of_domain_points(campaign):
         assert result.returncode == 1
         assert "outside" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_replay_refuses_a_negative_seed(campaign):
+    # random.Random(-5) seeds exactly as random.Random(5) does, so the
+    # trace would be seed 5's.
+    (campaign / "point.json").write_text(json.dumps(_POINT))
+    result = run_cli("replay", "point.json", "--model", MODEL,
+                     "--scenario", SCENARIO, "--seed", "-5", "--out",
+                     "replayed", cwd=campaign)
+    assert result.returncode == 2
+    assert "--seed: sim_seed outside [0, inf): -5" in result.stderr
+    assert not (campaign / "replayed").exists()
 
 
 def test_replay_requires_a_json_object(campaign):

@@ -26,7 +26,9 @@ from riskbench.search import (ALGORITHMS, ARCHIVE_FORMAT, SEARCH_FIELDS,
                               parse_archive_csv, run_campaign, run_search,
                               validate_search_config)
 from riskbench.search import algorithms
-from riskbench.sim import LABEL_COMPLIANCE, LABEL_NON_COMPLIANCE
+from riskbench.sim import (LABEL_COMPLIANCE, LABEL_NON_COMPLIANCE,
+                           bind_assignment, evaluate_events, load_scenario,
+                           simulate)
 
 from conftest import just_outside, no_longer_than
 from sequential_local_search import run_sequential
@@ -647,6 +649,43 @@ def test_campaign_evaluator_needs_a_seed(corner_model, corner_scenario):
     with pytest.raises(DomainError):
         campaign_evaluator(corner_model, corner_scenario, "low_light_rush",
                            "insufficient_distance", sim_seeds=())
+
+
+def test_campaign_evaluator_refuses_a_negative_seed(corner_model,
+                                                    corner_scenario):
+    # random.Random(-11) seeds exactly as random.Random(11) does.
+    with pytest.raises(DomainError, match=r"sim_seed outside \[0, inf\)"):
+        campaign_evaluator(corner_model, corner_scenario, "low_light_rush",
+                           "insufficient_distance", sim_seeds=(3, -11))
+
+
+_CELLS = {"default": ("default.riskml", "default_cell.scenario",
+                      "close_collaboration", "insufficient_distance"),
+          "corner": ("corner.riskml", "corner_cell.scenario",
+                     "low_light_rush", "insufficient_distance")}
+
+
+@pytest.mark.parametrize("cell", sorted(_CELLS))
+@given(data=st.data())
+def test_a_one_seed_evaluator_judges_the_replicate_itself(cell, data):
+    model_file, scenario_file, situation_name, event = _CELLS[cell]
+    model = load_model(data_text(model_file))
+    scenario = load_scenario(data_text(scenario_file))
+    space = make_feature_space(model, situation_name)
+    assignment = decode(space, data.draw(st.lists(
+        st.floats(0.0, 1.0), min_size=len(space), max_size=len(space))))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    robustness, label, triggered = campaign_evaluator(
+        model, scenario, situation_name, event, sim_seeds=(seed,))(assignment)
+    verdict = evaluate_events(
+        simulate(bind_assignment(scenario, model, assignment), seed), model,
+        model.situation(situation_name))
+    # The same float, bit for bit: the sign of a zero included.
+    assert robustness.hex() == verdict.per_event[event].robustness.hex()
+    assert label == verdict.label
+    assert triggered == tuple(name for name, outcome
+                              in verdict.per_event.items()
+                              if outcome.triggered)
 
 
 def _corner_campaign_csv(model, scenario, config, workers):

@@ -4,7 +4,7 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -400,6 +400,16 @@ def test_the_spanning_checks_still_hold():
         load_scenario("belt.start = 0.5, 0.8\nbelt.end = 0.5, 0.8\n")
     with pytest.raises(DomainError, match="e_min < e_sat"):
         load_scenario("perception.e_min = 1000\nperception.e_sat = 1000\n")
+
+
+@pytest.mark.parametrize("change", [
+    lambda sc: replace(sc, controller=replace(sc.controller, mode="prayer")),
+    lambda sc: replace(sc, belt=replace(sc.belt, end=sc.belt.start)),
+], ids=["unknown-mode", "zero-length-belt"])
+def test_simulate_refuses_a_scenario_that_was_never_validated(change):
+    # `replace` checks nothing; simulate validates the copy first.
+    with pytest.raises(DomainError):
+        simulate(change(Scenario()), 11)
 
 
 def test_an_episode_has_at_most_a_hundred_thousand_steps():
