@@ -109,9 +109,18 @@ def _write(path: Path, text: str) -> None:
         _fail(EXIT_CONFIG, f"cannot write {path}: {exc}")
 
 
+def _unique_keys(pairs) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def _read_json(path):
     try:
-        return json.loads(read_text(str(path)))
+        return json.loads(read_text(str(path)), object_pairs_hook=_unique_keys)
     except ValueError as exc:
         _fail(EXIT_CONFIG, f"{path}: not valid JSON: {exc}")
 

@@ -9,37 +9,34 @@ controller treats the workspace as clear. Speed is governed so that, while
 the hand is tracked, the protective separation distance plus a two-step
 closing guard never exceeds the perceived clearance.
 
-A step reuses what an earlier step computed while the inputs are equal,
-and leaves out what cannot change its result; the trace is the same,
+A step reuses what an earlier step computed while its inputs are equal,
+and leaves out what cannot change its result, so the trace is the same,
 float for float, as that of a step that recomputes everything. Reuse is
-keyed on exact float equality of every input, and no arithmetic is
-reordered (a hoisted constant such as `belt_speed * dt` is the product
-the step would form, since Python evaluates left to right):
+keyed on exact float equality, and no arithmetic is reordered (a hoisted
+constant such as `belt_speed * dt` is the product the step would form,
+since Python evaluates left to right). Over 200 random bindings per
+shipped cell, a step reuses:
 
-- the hand's field-of-view test and its sight line from the camera
-  (`sight_line`), until the hand moves;
-- the occlusion blockers, only for a draw that could detect the hand;
-  `hand_detected` takes the belt's object list as it is and runs the
-  per-ray tests only for a blocker that no bound settles against the
-  whole fan of sample rays (see `riskbench.sim.perception`);
-- the governor's perceived distance: the last step's hand distance when
-  the fix is where that hand was (the same calls on the same arm pose);
-  its allowed speed until that distance changes;
-- the robot speed, from the shrink loop's accepted iteration, which
-  evaluates the same expression (0.0 when the arm does not move);
-- the hand's distance to the arm, until the hand or the arm moves, and
-  the torso's, until the arm moves; the torso's is left out wherever it
-  cannot be the smaller (see the separation step);
-- the upper arm's distance from the hand or from the fix, wherever the
-  forearm is nearer than `ARM_BOUND_MARGIN` below the least the upper
-  arm can be: the hand's distance from the base less `l1`, since no
-  upper-arm point is farther from the base than the elbow (that bound
-  is kept until the hand, or the fix, moves);
-- `S_p`, until the robot speed changes.
+- while the hand is still (77% of steps in the default cell, 85% in the
+  corner cell): its field-of-view test, its sight line from the camera
+  (`sight_line`), and its least distance from the upper arm, which is
+  its distance from the base less `l1`, since no upper-arm point is
+  farther from the base than the elbow;
+- as the governor's perceived distance (57% and 78%): the last step's
+  hand distance, when the fix is where that hand was, since the arm
+  does not move between one step's separation and the next governor.
 
-A bound lets a step leave a result out only where it settles that
-result with a margin far above the error of the distance it stands in
-for, so the trace does not depend on the bound.
+The robot speed is the shrink loop's accepted value, the same
+expression (0.0 when the arm does not move). Every other value, `S_p`
+among them, is computed on each step that needs it, less what a bound
+shows cannot change the result: the upper arm's distance from the hand
+or the fix, where the forearm is nearer than `ARM_BOUND_MARGIN` below
+that least distance; the torso's, where it cannot be the smaller (see
+the separation step); and an occlusion blocker that `hand_detected`
+settles against the whole fan of sample rays, or every blocker for a
+draw that cannot detect the hand (see `riskbench.sim.perception`).
+Each bound settles its result with a margin far above the error of the
+distance it stands in for, so the trace does not depend on the bound.
 """
 
 from __future__ import annotations
@@ -80,9 +77,9 @@ REACH_SLACK = 0.03
 INNER_SLACK = 0.01
 
 # Metres of slack in a lower bound on a point's distance from the upper
-# arm (the hand's, or the fix's) that lets a step leave that distance
-# out: far above the rounding in any cell's coordinates, far below any
-# clearance.
+# arm (the hand's, kept while the hand is still, or the fix's) that lets
+# a step leave that distance out: far above the rounding in any cell's
+# coordinates, far below any clearance.
 ARM_BOUND_MARGIN = 1e-6
 
 # Square metres by which every arm point must be nearer the hand than the
@@ -235,28 +232,16 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
     chase = None  # (i, x, y, t_fall) of the object being chased
 
     hand_age = miss_horizon + 1
-    last_hand_x = 0.0
     last_hand_y = 0.0
 
-    # What a step reuses from an earlier one while its inputs are equal.
-    # The hand moves only along y (hand_x is the torso's x), a stale flag
-    # marks a result that an arm move invalidated, and NaN equals nothing,
-    # so the first step computes everything.
-    view_hand_y = math.nan      # hand position behind in_view and sight
+    # What a step reuses from the last one while the hand is still. The
+    # hand moves only along y (hand_x is the torso's x), and NaN equals
+    # nothing, so the first step computes everything.
+    prev_hand_y = math.nan      # the last step's, until the separation
     in_view = False
     sight = None
-    gov_d_perc = math.nan       # perceived distance behind v_allow
-    v_allow = 0.0
-    sep_hand_y = math.nan       # hand position behind d_hand, sep_bound
-    sep_stale = True            # d_hand
-    d_hand = math.inf
     sep_bound = math.inf        # the hand's least distance from the upper arm
-    fix_hand_y = math.nan       # fix position behind fix_bound
-    fix_bound = math.inf        # the fix's least distance from the upper arm
-    torso_stale = True          # d_torso
-    d_torso = math.inf
-    sp_v_r = math.nan           # robot speed behind s_p
-    s_p = 0.0
+    d_hand = math.inf
 
     fov_steps = 0
     miss_steps = 0
@@ -305,8 +290,7 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
                         cam_x, cam_y, cos_yaw, sin_yaw, half_angle, ox, oy)):
                     if p_clear >= 1.0 or rng.random() < p_clear:
                         acquired[i] = True
-        if hand_y != view_hand_y:
-            view_hand_y = hand_y
+        if hand_y != prev_hand_y:
             in_view = ignore_occ or in_field_of_view(
                 cam_x, cam_y, cos_yaw, sin_yaw, half_angle, hand_x, hand_y)
             if in_view and not ignore_occ:
@@ -326,7 +310,6 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
                         on_belt, OBJECT_RADIUS)
             if detected:
                 hand_age = 0
-                last_hand_x = hand_x
                 last_hand_y = hand_y
             else:
                 miss_steps += 1
@@ -403,43 +386,38 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
             goal_dist = 0.0
             v_des = 0.0
 
-        # Speed governor against the perceived human position. A fix at
-        # the hand position of the last step's separation makes the same
-        # distance calls on the same arm pose, so that d_hand is d_perc (a
-        # tracked fix shares the torso's x with every hand position).
+        # Speed governor against the perceived human position, the fix
+        # (torso_x, last_hand_y): the hand moves only along y. A fix at the
+        # hand position of the last step's separation makes the same
+        # distance calls on the same arm pose, so that d_hand is d_perc.
         # Otherwise the upper arm is left out as in the separation below.
         if tracked:
             if mode_stop:
-                inside = math.hypot(last_hand_x - base_x,
+                inside = math.hypot(torso_x - base_x,
                                     last_hand_y - base_y) <= arm_span
                 v_cmd = 0.0 if inside else v_des
             else:
-                if last_hand_y == sep_hand_y:
+                if last_hand_y == prev_hand_y:
                     d_perc = d_hand
                 else:
-                    if last_hand_y != fix_hand_y:
-                        fix_hand_y = last_hand_y
-                        fix_bound = (math.hypot(last_hand_x - base_x,
-                                                last_hand_y - base_y)
-                                     - l1 - ARM_BOUND_MARGIN)
-                    d_perc = point_segment_distance(last_hand_x, last_hand_y,
+                    d_perc = point_segment_distance(torso_x, last_hand_y,
                                                     elbow_x, elbow_y,
                                                     ee_x, ee_y)
-                    if d_perc >= fix_bound:
+                    if d_perc >= (math.hypot(torso_x - base_x,
+                                             last_hand_y - base_y)
+                                  - l1 - ARM_BOUND_MARGIN):
                         d_perc = min(
-                            point_segment_distance(last_hand_x, last_hand_y,
+                            point_segment_distance(torso_x, last_hand_y,
                                                    base_x, base_y,
                                                    elbow_x, elbow_y),
                             d_perc)
-                if d_perc != gov_d_perc:
-                    gov_d_perc = d_perc
-                    disc = gov_bb - gov_4a * (gov_k0 - d_perc)
-                    if disc <= 0.0:
+                disc = gov_bb - gov_4a * (gov_k0 - d_perc)
+                if disc <= 0.0:
+                    v_allow = 0.0
+                else:
+                    v_allow = (math.sqrt(disc) - gov_b) * a_brake
+                    if v_allow < 0.0:
                         v_allow = 0.0
-                    else:
-                        v_allow = (math.sqrt(disc) - gov_b) * a_brake
-                        if v_allow < 0.0:
-                            v_allow = 0.0
                 v_cmd = v_des if v_des < v_allow else v_allow
         else:
             v_cmd = v_des
@@ -480,7 +458,6 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
                     ee_x, ee_y = new_x, new_y
                     elbow_x, elbow_y = nex, ney
                     v_r = v_pt
-                    sep_stale = torso_stale = True
                     break
                 shrink = v_new / v_pt
                 new_x = old_x + (new_x - old_x) * shrink
@@ -506,36 +483,30 @@ def simulate(scenario: Scenario, seed: int) -> Trace:
         # torso (the same calls on the same points), and while the whole
         # arm lies below the midpoint of the hand and the torso straight
         # above it, by a squared-distance gap that rounding cannot close.
-        if sep_stale or hand_y != sep_hand_y:
-            sep_stale = False
-            if hand_y != sep_hand_y:
-                sep_hand_y = hand_y
-                sep_bound = (math.hypot(hand_x - base_x, hand_y - base_y)
-                             - l1 - ARM_BOUND_MARGIN)
-            d_hand = point_segment_distance(hand_x, hand_y, elbow_x, elbow_y,
-                                            ee_x, ee_y)
-            if d_hand >= sep_bound:
-                d_hand = min(
-                    point_segment_distance(hand_x, hand_y, base_x, base_y,
-                                           elbow_x, elbow_y),
-                    d_hand)
+        if hand_y != prev_hand_y:
+            prev_hand_y = hand_y
+            sep_bound = (math.hypot(hand_x - base_x, hand_y - base_y)
+                         - l1 - ARM_BOUND_MARGIN)
+        d_hand = point_segment_distance(hand_x, hand_y, elbow_x, elbow_y,
+                                        ee_x, ee_y)
+        if d_hand >= sep_bound:
+            d_hand = min(
+                point_segment_distance(hand_x, hand_y, base_x, base_y,
+                                       elbow_x, elbow_y),
+                d_hand)
         if hand_y == torso_y or (
                 (torso_y - hand_y)
                 * (torso_y + hand_y - 2.0 * max(base_y, elbow_y, ee_y))
                 >= TORSO_GAP):
             d_true = d_hand
         else:
-            if torso_stale:
-                torso_stale = False
-                d_torso = min(
-                    point_segment_distance(torso_x, torso_y, base_x, base_y,
-                                           elbow_x, elbow_y),
-                    point_segment_distance(torso_x, torso_y, elbow_x, elbow_y,
-                                           ee_x, ee_y))
-            d_true = min(d_hand, d_torso)
-        if v_r != sp_v_r:
-            sp_v_r = v_r
-            s_p = protective_distance(v_r, t_r, v_h, a_brake, clearance)
+            d_true = min(
+                d_hand,
+                point_segment_distance(torso_x, torso_y, base_x, base_y,
+                                       elbow_x, elbow_y),
+                point_segment_distance(torso_x, torso_y, elbow_x, elbow_y,
+                                       ee_x, ee_y))
+        s_p = protective_distance(v_r, t_r, v_h, a_brake, clearance)
         margin = d_true - s_p
         if margin < min_margin:
             min_margin = margin

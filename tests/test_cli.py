@@ -502,6 +502,25 @@ def test_explain_rejects_a_digest_that_is_not_a_string(campaign, key):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda text: '{"evaluations": 2000, ' + text[1:], "evaluations"),
+    (lambda text: text.replace('"config": {', '"config": {"seed": 999, ', 1),
+     "seed"),
+], ids=["top-level", "in-config"])
+def test_explain_refuses_a_header_key_given_twice(campaign, edit, key):
+    # The key's last value is the one `run` wrote, so a parser that keeps
+    # the last of two equal keys would accept the header.
+    out = campaign / "camp"
+    header_file = out / "campaign.json"
+    header_file.write_text(edit(header_file.read_text()))
+    result = run_cli("explain", out / "archive.csv", "--model", MODEL,
+                     cwd=campaign)
+    assert result.returncode == 2
+    assert f"{header_file}: not valid JSON: duplicate key {key!r}" \
+        in result.stderr
+    assert not (out / "tree.json").exists()
+
+
 @pytest.mark.parametrize("edit", [
     lambda header: header.update(situation="ghost"),
     lambda header: header.update(event="ghost"),
@@ -745,6 +764,19 @@ def test_replay_requires_a_json_object(campaign):
                      "--scenario", SCENARIO, cwd=campaign)
     assert result.returncode == 2
     assert "JSON object" in result.stderr
+
+
+def test_replay_refuses_a_feature_given_twice(campaign):
+    (campaign / "twice.json").write_text(
+        '{"illuminance": 500, "illuminance": 600, "belt_speed": 0.3, '
+        '"operator_speed": 1.0}')
+    result = run_cli("replay", "twice.json", "--model", MODEL,
+                     "--scenario", SCENARIO, "--out", "replayed",
+                     cwd=campaign)
+    assert result.returncode == 2
+    assert "twice.json: not valid JSON: duplicate key 'illuminance'" \
+        in result.stderr
+    assert not (campaign / "replayed").exists()
 
 
 _POINT = {"illuminance": 400.0, "belt_speed": 0.3, "operator_speed": 1.0}
