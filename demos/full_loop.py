@@ -60,9 +60,9 @@ def main():
         print(f"  likelihood {rule.likelihood:.3f}, support {rule.support}")
 
     # Fresh test inputs inside the most dangerous region.
-    augmentation = generate_counterexamples(rules[0], space, n=3, seed=1)
+    probes = generate_counterexamples(rules[0], space, n=3, seed=1)
     print("counterexamples inside rule #1:")
-    for assignment in augmentation.assignments:
+    for assignment in probes:
         print(f"  {assignment}")
 
     annotated = annotate_likelihoods(

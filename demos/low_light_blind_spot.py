@@ -58,8 +58,7 @@ def main():
     print()
     print(f"blind-spot rules: {ceilings}")
     print("fresh probes inside the first one, for the regression suite:")
-    augmentation = generate_counterexamples(dim[0], space, n=3, seed=9)
-    for assignment in augmentation.assignments:
+    for assignment in generate_counterexamples(dim[0], space, n=3, seed=9):
         lux = assignment["illuminance"]
         belt = assignment["belt_speed"]
         intrusion = assignment["hand_intrusion"]

@@ -358,8 +358,8 @@ def cmd_explain(archive_path, model_path, threshold, out_dir):
     _write(out / "rules.json", stable_json(rules_to_json(rules)))
     _write(out / "augmentation.json", stable_json({
         "per_rule": [
-            {"rule_id": aug.rule_id, "assignments": list(aug.assignments)}
-            for aug in augmentation
+            {"rule_id": rule.id, "assignments": list(assignments)}
+            for rule, assignments in zip(rules, augmentation)
         ]
     }))
     _write(out / "annotated.riskml", serialize_model(annotated))

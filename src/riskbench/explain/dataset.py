@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from ..errors import DomainError
 from ..record import Record
-from ..search.space import FeatureSpace
 from ..sim.events import LABEL_NON_COMPLIANCE
 
 
@@ -16,15 +15,15 @@ class LabeledDataset(Record):
         return len(self.rows)
 
 
-def dataset_from_rows(space: FeatureSpace, rows) -> LabeledDataset:
+def dataset_from_rows(space: tuple, rows) -> LabeledDataset:
     """One dataset row per archive row (`EvaluatedPoint`): its feature
     values in the space's order, and its label."""
     if not rows:
         raise DomainError("cannot build a dataset from an empty archive")
     packed = tuple(
-        (tuple(row.assignment[dim.name] for dim in space.dims), row.label)
+        (tuple(row.assignment[dim.name] for dim in space), row.label)
         for row in rows)
-    return LabeledDataset(columns=space.dims, rows=packed)
+    return LabeledDataset(columns=space, rows=packed)
 
 
 def estimate_event_likelihood(dataset: LabeledDataset) -> tuple:

@@ -15,7 +15,6 @@ from ..errors import DomainError, EmptyRegionError
 from ..record import Record
 from ..riskml.model import CATEGORICAL, INTEGER
 from ..rng import Generator
-from ..search.space import FeatureSpace
 from .tree import DecisionTree, TreeNode
 
 
@@ -48,11 +47,6 @@ class Rule(Record):
 
     def satisfied_by(self, assignment: dict) -> bool:
         return all(c.admits(assignment[c.feature]) for c in self.constraints)
-
-
-class AugmentationSet(Record):
-    assignments: tuple
-    rule_id: int
 
 
 def _path_constraints(columns, path) -> tuple:
@@ -110,8 +104,8 @@ def extract_rules(tree: DecisionTree, threshold: float) -> list:
             for i, (likelihood, support, constraints) in enumerate(found)]
 
 
-def generate_counterexamples(rule: Rule, space: FeatureSpace, n: int,
-                             seed: int) -> AugmentationSet:
+def generate_counterexamples(rule: Rule, space: tuple, n: int,
+                             seed: int) -> tuple:
     """n assignments drawn uniformly from rule region ∩ feature domains.
 
     The draws are those of `numpy.random.default_rng(seed)`, made by the
@@ -122,7 +116,7 @@ def generate_counterexamples(rule: Rule, space: FeatureSpace, n: int,
     rng = Generator(seed)
 
     samplers = []
-    for dim in space.dims:
+    for dim in space:
         constraint = rule.constraint_for(dim.name)
         if dim.kind == CATEGORICAL:
             allowed = dim.values
@@ -166,7 +160,7 @@ def generate_counterexamples(rule: Rule, space: FeatureSpace, n: int,
             else:
                 a[name] = rng.uniform(spec[0], spec[1])
         assignments.append(a)
-    return AugmentationSet(assignments=tuple(assignments), rule_id=rule.id)
+    return tuple(assignments)
 
 
 def _fmt(x) -> str:

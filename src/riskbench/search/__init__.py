@@ -13,5 +13,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
                     "archive_header", "archive_to_csv", "parse_archive_csv",
                     "read_archive_header"),
     ".campaign": ("campaign_evaluator", "run_campaign"),
-    ".space": ("FeatureSpace", "decode", "make_feature_space"),
+    ".space": ("decode", "make_feature_space"),
 })

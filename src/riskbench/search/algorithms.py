@@ -25,7 +25,7 @@ from ..errors import ConfigError, DomainError
 from ..kvdoc import field_table
 from ..record import Record
 from ..rng import Generator
-from .space import FeatureSpace, decode
+from .space import decode
 
 ALGORITHMS = ("random", "hill_climb", "simulated_annealing", "genetic")
 
@@ -111,7 +111,7 @@ class _Driver:
     `width` is the number of evaluators behind it.
     """
 
-    def __init__(self, space: FeatureSpace, config: SearchConfig,
+    def __init__(self, space: tuple, config: SearchConfig,
                  evaluate_many, width: int = 1):
         self.space = space
         self.config = config
@@ -152,7 +152,7 @@ class _Driver:
                 return
 
 
-def run_search(space: FeatureSpace, evaluator, config: SearchConfig,
+def run_search(space: tuple, evaluator, config: SearchConfig,
                workers: int = 1) -> Archive:
     """Minimize robustness over the space within config.budget evaluations.
 

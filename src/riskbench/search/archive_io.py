@@ -37,7 +37,6 @@ from ..kvdoc import Field
 from ..riskml.model import CATEGORICAL, INTEGER, NEGATIVE
 from ..sim.events import LABEL_COMPLIANCE, LABEL_NON_COMPLIANCE
 from .algorithms import SEARCH_FIELDS, Archive, EvaluatedPoint, SearchConfig
-from .space import FeatureSpace
 
 ARCHIVE_FORMAT = "riskbench-archive-v1"
 
@@ -51,8 +50,9 @@ _HEADER_FIELDS = (Field("situation", str), Field("event", str),
                   Field("model_digest", str), Field("scenario_digest", str))
 
 
-def _columns(space: FeatureSpace) -> list:
-    return ["index", *space.names(), "robustness", "label", "triggered"]
+def _columns(space: tuple) -> list:
+    return ["index", *(dim.name for dim in space), "robustness", "label",
+            "triggered"]
 
 
 def _cell(dim, value) -> str:
@@ -63,23 +63,23 @@ def _cell(dim, value) -> str:
     return repr(float(value))
 
 
-def archive_to_csv(archive: Archive, space: FeatureSpace) -> str:
+def archive_to_csv(archive: Archive, space: tuple) -> str:
     """The archive's points as CSV text, one row each."""
     lines = [",".join(_columns(space))]
     for point in archive.points:
         lines.append(",".join([
             str(point.index),
-            *(_cell(dim, point.assignment[dim.name]) for dim in space.dims),
+            *(_cell(dim, point.assignment[dim.name]) for dim in space),
             repr(point.robustness), point.label, ";".join(point.triggered)]))
     return "\n".join(lines) + "\n"
 
 
-def archive_header(space: FeatureSpace, config: SearchConfig,
+def archive_header(space: tuple, config: SearchConfig,
                    sim_seeds: tuple, situation: str, event: str,
                    model_digest: str, scenario_digest: str,
                    evaluations: int, threshold: float) -> dict:
     dims = []
-    for dim in space.dims:
+    for dim in space:
         entry = {"name": dim.name, "kind": dim.kind}
         if dim.kind == CATEGORICAL:
             entry["values"] = list(dim.values)
@@ -147,13 +147,13 @@ def _parse_feature(dim, cell: str):
     return value
 
 
-def _parse_row(cells, space: FeatureSpace, position: int) -> EvaluatedPoint:
-    n = len(space.dims)
+def _parse_row(cells, space: tuple, position: int) -> EvaluatedPoint:
+    n = len(space)
     index = int(cells[0])
     if index != position:
         raise ValueError(f"index {index} is not the row's position {position}")
     assignment = {dim.name: _parse_feature(dim, cell)
-                  for dim, cell in zip(space.dims, cells[1:1 + n])}
+                  for dim, cell in zip(space, cells[1:1 + n])}
     # inf is a legal robustness: min_margin starts at math.inf.
     robustness = float(cells[1 + n])
     if math.isnan(robustness):
@@ -184,7 +184,7 @@ def _contradiction(point: EvaluatedPoint, situation, event: str,
     return None
 
 
-def parse_archive_csv(text: str, space: FeatureSpace, model, situation,
+def parse_archive_csv(text: str, space: tuple, model, situation,
                       event: str) -> Archive:
     """The archive that archive_to_csv wrote for `event` of `situation`
     (a Situation of `model`), point for point. ArchiveMismatchError unless

@@ -1,4 +1,5 @@
-"""Feature space over a situation's features, and its unit-cube decoding.
+"""A situation's feature space, its tuple of `DomainFeature`s in model
+declaration order, and the space's unit-cube decoding.
 
 Every search algorithm works in the normalized hypercube [0,1]^d so one
 mutation scale serves continuous, integer, and categorical dimensions
@@ -9,38 +10,28 @@ categorical dims split the unit interval into equal buckets.
 from __future__ import annotations
 
 from ..errors import DomainError
-from ..record import Record
 from ..riskml.model import CATEGORICAL, INTEGER, DomainFeature, RiskModel
 
 
-class FeatureSpace(Record):
-    dims: tuple[DomainFeature, ...]
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.dims)
-
-
-def make_feature_space(model: RiskModel, situation_name: str) -> FeatureSpace:
-    """Dims follow model declaration order, one per referenced feature."""
+def make_feature_space(model: RiskModel,
+                       situation_name: str) -> tuple[DomainFeature, ...]:
+    """The situation's features, in model declaration order."""
     situation = model.situation(situation_name)
     wanted = set(situation.features)
     dims = tuple(f for f in model.features if f.name in wanted)
     if not dims:
         raise DomainError(
             f"situation {situation_name!r} references no features")
-    return FeatureSpace(dims=dims)
+    return dims
 
 
-def decode(space: FeatureSpace, vector) -> dict:
+def decode(space: tuple, vector) -> dict:
     """Map a unit vector back to a typed assignment."""
-    if len(vector) != len(space.dims):
+    if len(vector) != len(space):
         raise DomainError(
-            f"vector has {len(vector)} components for {len(space.dims)} dims")
+            f"vector has {len(vector)} components for {len(space)} dims")
     assignment = {}
-    for dim, u in zip(space.dims, vector):
+    for dim, u in zip(space, vector):
         u = float(u)
         if not (0.0 <= u <= 1.0):
             raise DomainError(f"unit component {u!r} outside [0, 1]")

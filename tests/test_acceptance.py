@@ -213,7 +213,7 @@ def test_05_margin_soundness_under_perfect_perception(default_model,
     worst = np.inf
     for _ in range(500):
         assignment = {}
-        for dim in space.dims:
+        for dim in space:
             assignment[dim.name] = float(rng.uniform(dim.lo, dim.hi))
         bound = bind_assignment(perfect, default_model, assignment)
         # The perception overrides win over the sampled lighting features.

@@ -401,6 +401,12 @@ def test_explain_produces_the_report_bundle(campaign):
     assert report["threshold"] == 0.5
     assert report["event"] == "insufficient_distance"
     assert report["event_likelihood"]["samples"] == 15
+    # Each rule's counterexamples are filed under its id, in rule order.
+    rules = json.loads((out / "rules.json").read_text())["rules"]
+    per_rule = json.loads((out / "augmentation.json").read_text())["per_rule"]
+    assert rules
+    assert [entry["rule_id"] for entry in per_rule] == [r["id"] for r in rules]
+    assert {len(entry["assignments"]) for entry in per_rule} == {20}
     # The annotated model must still parse and carry the estimate.
     check = run_cli("validate", "--model", out / "annotated.riskml")
     assert check.returncode == 0

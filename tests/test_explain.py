@@ -21,7 +21,6 @@ from riskbench.fileio import stable_json
 from riskbench.riskml import DomainFeature
 from riskbench.riskml.model import CATEGORICAL, EXACT_INT
 from riskbench.sim.events import LABEL_NON_COMPLIANCE
-from riskbench.search import FeatureSpace
 from riskbench.search.algorithms import Archive
 
 from presort_sweep_tree import _grow as sweep_grow
@@ -498,7 +497,7 @@ def test_a_random_dataset_sweep_reproduces_its_rules_digest():
 # -- counterexamples ------------------------------------------------------------
 
 
-MIXED_SPACE = FeatureSpace(dims=(F0, INT, CAT))
+MIXED_SPACE = (F0, INT, CAT)
 
 
 def _rule(*constraints, id=1):
@@ -513,9 +512,8 @@ def test_counterexamples_stay_inside_the_rule():
         Constraint(feature="count", kind="integer", lo=3.0, hi=6.0),
         Constraint(feature="mode", kind="categorical", values=("b", "c")))
     batch = generate_counterexamples(rule, MIXED_SPACE, 20, seed=9)
-    assert len(batch.assignments) == 20
-    assert batch.rule_id == 1
-    for a in batch.assignments:
+    assert len(batch) == 20
+    for a in batch:
         assert rule.satisfied_by(a)
         assert 2.0 < a["f0"] <= 4.0
         assert isinstance(a["count"], int) and 3 <= a["count"] <= 6
@@ -527,16 +525,16 @@ def test_counterexamples_are_seeded():
     one = generate_counterexamples(rule, MIXED_SPACE, 5, seed=3)
     two = generate_counterexamples(rule, MIXED_SPACE, 5, seed=3)
     other = generate_counterexamples(rule, MIXED_SPACE, 5, seed=4)
-    assert one.assignments == two.assignments
-    assert one.assignments != other.assignments
+    assert one == two
+    assert one != other
 
 
 def test_unconstrained_features_sample_their_whole_domain():
     rule = _rule(Constraint(feature="mode", kind="categorical",
                             values=("a",)))
     batch = generate_counterexamples(rule, MIXED_SPACE, 30, seed=1)
-    assert {a["mode"] for a in batch.assignments} == {"a"}
-    assert {a["count"] for a in batch.assignments} > {0}
+    assert {a["mode"] for a in batch} == {"a"}
+    assert {a["count"] for a in batch} > {0}
 
 
 def test_empty_regions_are_reported():
@@ -564,9 +562,8 @@ def test_negative_sample_count_rejected():
 
 
 def test_dataset_from_rows_requires_rows():
-    space = FeatureSpace(dims=(F0,))
     with pytest.raises(DomainError):
-        dataset_from_rows(space, Archive().points)
+        dataset_from_rows((F0,), Archive().points)
 
 
 def test_likelihood_estimate_is_the_label_fraction():

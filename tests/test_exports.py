@@ -64,3 +64,16 @@ def test_a_resolved_name_is_cached_in_the_package(package):
     name = module.__all__[0]
     value = getattr(module, name)
     assert vars(module)[name] is value
+
+
+def test_the_explain_modules_import_nothing_from_search():
+    # A feature space is a plain tuple of features, so explaining an
+    # archive needs nothing of the search package.
+    env = {**os.environ, "PYTHONPATH": _PACKAGE_ROOT}
+    probe = ("import sys, riskbench.explain.dataset, riskbench.explain.rules,"
+             " riskbench.explain.tree; print(sorted(name for name in "
+             "sys.modules if (name + '.').startswith('riskbench.search.')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

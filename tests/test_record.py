@@ -30,7 +30,7 @@ from riskbench.riskml import (DomainFeature, annotate_likelihoods,
                               derive_assurance_cases, load_model,
                               parse_risk_model, validate)
 from riskbench.riskml.parser import _tokenize
-from riskbench.search import (SEARCH_FIELDS, FeatureSpace, SearchConfig,
+from riskbench.search import (SEARCH_FIELDS, SearchConfig,
                               make_feature_space, run_campaign)
 from riskbench.sim import (LABEL_COMPLIANCE, LABEL_NON_COMPLIANCE,
                            evaluate_events, load_scenario, simulate)
@@ -73,11 +73,11 @@ def _roots():
                          binding="controller.mode")
     horizon = DomainFeature("horizon", "integer", lo=0, hi=9,
                             binding="perception.miss_horizon")
-    space = FeatureSpace(dims=(corner.feature("illuminance"), mode, horizon))
+    space = (corner.feature("illuminance"), mode, horizon)
     rows = tuple(((50.0 + 19.0 * i, ("ssm", "stop")[i % 3 == 0], i % 10),
                   LABEL_NON_COMPLIANCE if i < 24 and i % 3
                   else LABEL_COMPLIANCE) for i in range(50))
-    dataset = LabeledDataset(columns=space.dims, rows=rows)
+    dataset = LabeledDataset(columns=space, rows=rows)
     tree = induce_tree(dataset)
     rules = extract_rules(tree, 0.5)
     return {

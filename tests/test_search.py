@@ -20,8 +20,8 @@ from riskbench.errors import (ConfigError, DomainError, RiskbenchError,
                               UnknownNameError)
 from riskbench.riskml import DomainFeature, load_model
 from riskbench.search import (ALGORITHMS, ARCHIVE_FORMAT, SEARCH_FIELDS,
-                              Archive, EvaluatedPoint, FeatureSpace,
-                              SearchConfig, archive_header, archive_to_csv,
+                              Archive, EvaluatedPoint, SearchConfig,
+                              archive_header, archive_to_csv,
                               campaign_evaluator, decode, make_feature_space,
                               parse_archive_csv, run_campaign, run_search,
                               validate_search_config)
@@ -33,16 +33,16 @@ from riskbench.sim import (LABEL_COMPLIANCE, LABEL_NON_COMPLIANCE,
 from conftest import just_outside, no_longer_than
 from sequential_local_search import run_sequential
 
-SPACE = FeatureSpace(dims=(
+SPACE = (
     DomainFeature(name="x", kind="continuous", lo=0.0, hi=10.0),
     DomainFeature(name="n", kind="integer", lo=1, hi=7),
     DomainFeature(name="c", kind="categorical", values=("a", "b", "c")),
-))
+)
 
-UNIT = FeatureSpace(dims=(
+UNIT = (
     DomainFeature(name="u", kind="continuous", lo=0.0, hi=1.0),
     DomainFeature(name="v", kind="continuous", lo=0.0, hi=1.0),
-))
+)
 
 
 def row_cells(robustness):
@@ -72,11 +72,11 @@ def fragile_sphere(assignment):
 
 # SPACE, an integer feature as wide as the floats hold exactly, and a
 # feature of one point.
-DECODE_SPACE = FeatureSpace(dims=(
-    *SPACE.dims,
+DECODE_SPACE = (
+    *SPACE,
     DomainFeature(name="w", kind="integer", lo=-2 ** 53, hi=2 ** 53),
     DomainFeature(name="p", kind="continuous", lo=2.5, hi=2.5),
-))
+)
 _KIND_TYPES = {"continuous": float, "integer": int, "categorical": str}
 
 
@@ -84,8 +84,8 @@ _KIND_TYPES = {"continuous": float, "integer": int, "categorical": str}
                 min_size=len(DECODE_SPACE), max_size=len(DECODE_SPACE)))
 def test_every_unit_vector_decodes_into_the_domain(vector):
     assignment = decode(DECODE_SPACE, vector)
-    assert tuple(assignment) == DECODE_SPACE.names()
-    for dim in DECODE_SPACE.dims:
+    assert tuple(assignment) == tuple(dim.name for dim in DECODE_SPACE)
+    for dim in DECODE_SPACE:
         value = assignment[dim.name]
         assert type(value) is _KIND_TYPES[dim.kind]
         assert dim.contains(value)
@@ -107,8 +107,9 @@ def test_decode_rejects_bad_vectors():
 
 def test_make_feature_space_follows_declaration_order(default_model):
     space = make_feature_space(default_model, "close_collaboration")
-    assert space.names() == ("illuminance", "belt_speed", "hand_intrusion",
-                             "operator_speed", "contrast", "camera_yaw")
+    assert tuple(dim.name for dim in space) == (
+        "illuminance", "belt_speed", "hand_intrusion", "operator_speed",
+        "contrast", "camera_yaw")
 
 
 # -- config ----------------------------------------------------------------
@@ -232,7 +233,7 @@ def test_genetic_improves_over_its_first_generation():
     assert archive.points[archive.best].robustness <= first_gen
 
 
-MIXED = FeatureSpace(dims=(*UNIT.dims, *SPACE.dims[1:]))
+MIXED = (*UNIT, *SPACE[1:])
 
 
 def mixed_bumps(assignment):
@@ -281,12 +282,12 @@ def small_campaign(corner_model, corner_scenario):
 
 # Cells at the edges of what the CSV must carry exactly: any finite
 # float, both zeros among them, integers around +-2^53, and a category.
-EDGE_SPACE = FeatureSpace(dims=(
+EDGE_SPACE = (
     DomainFeature(name="x", kind="continuous", lo=-sys.float_info.max,
                   hi=sys.float_info.max),
     DomainFeature(name="n", kind="integer", lo=-2 ** 53 - 3, hi=2 ** 53 + 3),
     DomainFeature(name="c", kind="categorical", values=("a", "b", "c")),
-))
+)
 _EDGE_ROWS = st.lists(st.tuples(
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(min_value=-2 ** 53 - 3, max_value=2 ** 53 + 3),
@@ -346,7 +347,7 @@ def test_archive_header_records_the_recipe(small_campaign):
     assert header["config"]["algorithm"] == "random"
     assert header["config"]["seed"] == 4
     assert header["sim_seeds"] == [11]
-    assert [d["name"] for d in header["space"]] == list(space.names())
+    assert [d["name"] for d in header["space"]] == [d.name for d in space]
     assert header["evaluations"] == 12
     assert header["threshold"] == 0.5
 
@@ -365,8 +366,8 @@ def test_parse_archive_rejects_foreign_columns(small_campaign,
                                                corner_model):
     archive, space, _ = small_campaign
     text = archive_to_csv(archive, space)
-    other = FeatureSpace(dims=(
-        DomainFeature(name="different", kind="continuous", lo=0.0, hi=1.0),))
+    other = (
+        DomainFeature(name="different", kind="continuous", lo=0.0, hi=1.0),)
     with pytest.raises(Exception):
         parse_archive_csv(text, other, corner_model,
                           corner_model.situation("low_light_rush"),
